@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qops import as_matrix, q_number
+from .qops import as_matrix, build_hamiltonian
 
 BLOCK_TOL = 1e-12
 
@@ -31,10 +31,10 @@ class ReferenceSpectrum:
 def spectrum_h0(q: float, dim: int = 4) -> ReferenceSpectrum:
     """Exact levels of the free deformed oscillator.
 
-    e_n = (q + 1)/4 ([n]_q + [n+1]_q), strictly increasing in n.
+    The diagonal of the h0 Hamiltonian (see qops.build_hamiltonian),
+    strictly increasing in n.
     """
-    lv = np.array([(q + 1.0) / 4.0 * (q_number(n, q) + q_number(n + 1, q))
-                   for n in range(dim)])
+    lv = np.diag(build_hamiltonian("h0", dim, q).matrix)
     return ReferenceSpectrum(source="h0_closed_form", levels=lv)
 
 

@@ -167,12 +167,6 @@ class ProtocolAngles:
     phi2: float
     j_p: float
     j_m: float
-    alpha_p: float
-    alpha_m: float
-    beta_p: float
-    beta_m: float
-    jt_p: float
-    jt_m: float
     theta_p: float
     theta_m: float
     lam_p: float
@@ -184,15 +178,13 @@ class ProtocolAngles:
 
 
 def _branch_angles(a: float, b: float, t: float) -> tuple[float, ...]:
-    """Angles (j, alpha, beta, jt, theta, lam, phi, chi) for one branch.
+    """Angles (j, theta, lam, phi, chi) for one branch.
 
-    Solves e^{i chi} U(theta, phi, lam) = exp(-i jt (alpha Z + beta X))
-    exactly:
+    With j = hypot(a, b), alpha = a/j and beta = b/j, solves
+    e^{i chi} U(theta, phi, lam) = exp(-i jt (alpha Z + beta X)) exactly:
 
         theta = 2 asin(beta sin(jt))
-        lam
-
- chosen so that sin(lam) cos(theta/2) = cos(jt) and
+        lam chosen so that sin(lam) cos(theta/2) = cos(jt) and
         cos(lam) cos(theta/2) = -alpha sin(jt); then phi = lam + pi and
         chi = pi/2 - lam.
 
@@ -201,25 +193,24 @@ def _branch_angles(a: float, b: float, t: float) -> tuple[float, ...]:
     """
     j = math.hypot(a, b)
     if j == 0.0:
-        return (0.0,) * 8
+        return (0.0,) * 5
     alpha, beta = a / j, b / j
     jt = j * t
     sin_jt, cos_jt = math.sin(jt), math.cos(jt)
     theta = 2.0 * math.asin(max(-1.0, min(1.0, beta * sin_jt)))
     half_c = math.cos(theta / 2.0)
     lam = 0.0 if half_c < 1e-12 else math.atan2(cos_jt, -alpha * sin_jt)
-    return (j, alpha, beta, jt, theta, lam, lam + math.pi, math.pi / 2.0 - lam)
+    return (j, theta, lam, lam + math.pi, math.pi / 2.0 - lam)
 
 
 def protocol_angles(d: PauliCoefficients, t: float) -> ProtocolAngles:
     """Compute every gate angle of the evolution block for time t."""
-    jp, ap, bp, jtp, thp, lap, php, chp = _branch_angles(d.d3 + d.d4, d.d5 + d.d6, t)
-    jm, am, bm, jtm, thm, lam, phm, chm = _branch_angles(d.d3 - d.d4, d.d5 - d.d6, t)
+    jp, thp, lap, php, chp = _branch_angles(d.d3 + d.d4, d.d5 + d.d6, t)
+    jm, thm, lam, phm, chm = _branch_angles(d.d3 - d.d4, d.d5 - d.d6, t)
     return ProtocolAngles(
-        phi1=2.0 * d.d1 * t, phi2=2.0 * d.d2 * t,
-        j_p=jp, j_m=jm, alpha_p=ap, alpha_m=am, beta_p=bp, beta_m=bm,
-        jt_p=jtp, jt_m=jtm, theta_p=thp, theta_m=thm,
-        lam_p=lap, lam_m=lam, phi_p=php, phi_m=phm, chi_p=chp, chi_m=chm,
+        phi1=2.0 * d.d1 * t, phi2=2.0 * d.d2 * t, j_p=jp, j_m=jm,
+        theta_p=thp, theta_m=thm, lam_p=lap, lam_m=lam,
+        phi_p=php, phi_m=phm, chi_p=chp, chi_m=chm,
     )
 
 

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -15,8 +16,9 @@ from .analytic import exact_diag, spectrum_h0, spectrum_hho_paper
 from .circuit import build_evolution_block, circuit_unitary, phase_aligned_distance
 from .qops import ModelParams, build_hamiltonian
 from .simulator import MeasurementConfig, evolution_target, evolve_exact, probe_expectation
-from .spectral import (DEFAULT_SAMPLES_EXACT, DEFAULT_SAMPLES_SHOTS, default_dt,
-                       detect_levels, dft_real, match_levels, sample_series)
+from .spectral import (InsufficientPeaks, _write_csv, check_sample_count,
+                       default_samples, detect_levels, dft_real, match_levels,
+                       sample_series)
 from .spinmap import PauliCoefficients, model_coefficients, pauli_decompose, reconstruct
 
 OUTDIR_ENV = "QDOSC_OUT"
@@ -26,6 +28,9 @@ OUTDIR_ENV = "QDOSC_OUT"
 # level weight seen across the supported parameter ranges (~13% of max)
 PIPELINE_WINDOW = "hann"
 PIPELINE_PROMINENCE = 0.05
+#: config-file value parsers, keyed by field type without its "| None"
+_PARSERS = {"str": str, "int": int, "float": float,
+            "tuple[float, ...]": lambda v: tuple(float(x) for x in v.split(","))}
 
 
 @dataclass(frozen=True)
@@ -38,27 +43,33 @@ class ExperimentConfig:
     delta: float = 0.0
     dt: float | None = None
     samples: int | None = None
-    mode: str = "exact"
-    shots: int = 0
+    shots: int | None = None
     seed: int = 0
     out: str = "."
 
     def __post_init__(self):
         if self.model not in ("h0", "ho", "ao"):
             raise ValueError(f"unknown model {self.model!r}")
-        if self.mode not in ("exact", "shots"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "q_grid", tuple(float(q) for q in self.q_grid))
+        if not self.q_grid or not all(math.isfinite(q) and q > 0 for q in self.q_grid):
+            raise ValueError(f"q grid must be non-empty, finite and positive, "
+                             f"got {self.q_grid}")
+        if not all(math.isfinite(c) and c >= 0 for c in (self.gamma, self.delta)):
+            raise ValueError(f"gamma and delta must be finite and non-negative, "
+                             f"got {self.gamma}, {self.delta}")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if self.samples is not None:
+            check_sample_count(self.samples)
+        self.measurement()  # rejects shots <= 0
 
     def measurement(self) -> MeasurementConfig:
-        if self.mode == "shots":
-            return MeasurementConfig.with_shots(self.shots, self.seed)
-        return MeasurementConfig.exact()
+        return MeasurementConfig(self.shots, self.seed)
 
     def resolved_samples(self) -> int:
         if self.samples is not None:
             return self.samples
-        return DEFAULT_SAMPLES_EXACT if self.mode == "exact" else DEFAULT_SAMPLES_SHOTS
+        return default_samples(self.measurement())
 
     def to_text(self) -> str:
         lines = []
@@ -72,7 +83,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        fields: dict = {}
+        types = {f.name: f.type.removesuffix(" | None") for f in fields(cls)}
+        values: dict = {}
         for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -80,19 +92,10 @@ class ExperimentConfig:
             if "=" not in line:
                 raise ValueError(f"bad config line {raw!r}, expected key = value")
             key, val = (part.strip() for part in line.split("=", 1))
-            if key == "q_grid":
-                fields[key] = tuple(float(x) for x in val.split(","))
-            elif key in ("dt",):
-                fields[key] = float(val)
-            elif key in ("gamma", "delta"):
-                fields[key] = float(val)
-            elif key in ("samples", "shots", "seed"):
-                fields[key] = int(val)
-            elif key in ("model", "mode", "out"):
-                fields[key] = val
-            else:
+            if key not in types:
                 raise ValueError(f"unknown config key {key!r}")
-        return cls(**fields)
+            values[key] = _PARSERS[types[key]](val)
+        return cls(**values)
 
 
 def _reference_levels(cfg: ExperimentConfig, q: float) -> np.ndarray:
@@ -143,7 +146,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     for q in cfg.q_grid:
         try:
             d, ts, _, levels = _detect_for_q(cfg, q)
-        except Exception as exc:
+        except (InsufficientPeaks, ValueError) as exc:
             print(f"error: q={q}: {exc}", file=sys.stderr)
             return 1
         ref = _reference_levels(cfg, q)
@@ -154,27 +157,21 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
         rows.append(row)
         per_q.append({"q": q, "dt": ts.dt, "samples": len(ts.samples)})
     path = os.path.join(outdir, f"spectrum_{cfg.model}.csv")
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    _write_csv(path, ",".join(header), *zip(*rows))
     _write_manifest(cfg, outdir, "spectrum", per_q)
     print(f"wrote {path} ({len(rows)} q point(s))")
     return 0
 
 
-def cmd_timeseries(cfg: ExperimentConfig, t_max: float | None = None) -> int:
+def cmd_timeseries(cfg: ExperimentConfig) -> int:
     """Emit the sampled series and its spectrum for the first grid q."""
     outdir = _outdir(cfg)
     q = cfg.q_grid[0]
     d = model_coefficients(cfg.model, q, cfg.gamma, cfg.delta)
-    m = cfg.resolved_samples()
-    dt = cfg.dt
-    if dt is None and t_max is not None:
-        dt = t_max / m
     try:
-        ts = sample_series(d, dt=dt, m=m, cfg=cfg.measurement())
-    except Exception as exc:
+        ts = sample_series(d, dt=cfg.dt, m=cfg.resolved_samples(),
+                           cfg=cfg.measurement())
+    except (InsufficientPeaks, ValueError) as exc:
         print(f"error: q={q}: {exc}", file=sys.stderr)
         return 1
     spec = dft_real(ts, window=PIPELINE_WINDOW)
@@ -277,29 +274,30 @@ def cmd_verify() -> int:
 
 def _parse_q_grid(text: str) -> tuple[float, ...]:
     start, stop, step = (float(x) for x in text.split(":"))
-    if step <= 0:
-        raise ValueError("q grid step must be positive")
+    if not (step > 0 and start <= stop):
+        raise ValueError("q grid needs start <= stop and a positive step")
     return tuple(np.round(np.arange(start, stop + step / 2.0, step), 12))
 
 
 def _build_config(args) -> ExperimentConfig:
-    base = ExperimentConfig.from_text(open(args.config).read()) if args.config \
-        else ExperimentConfig()
-    fields = asdict(base)
-    if args.model is not None:
-        fields["model"] = args.model
+    base = ExperimentConfig()
+    if args.config:
+        with open(args.config) as fh:
+            base = ExperimentConfig.from_text(fh.read())
+    values = asdict(base)
     if args.q is not None:
-        fields["q_grid"] = (args.q,)
+        values["q_grid"] = (args.q,)
     if args.q_grid is not None:
-        fields["q_grid"] = _parse_q_grid(args.q_grid)
-    for key in ("gamma", "delta", "dt", "samples", "seed", "out"):
+        values["q_grid"] = _parse_q_grid(args.q_grid)
+    for key in ("model", "gamma", "delta", "dt", "samples", "shots", "seed", "out"):
         val = getattr(args, key)
         if val is not None:
-            fields[key] = val
-    if args.shots is not None:
-        fields["mode"] = "shots"
-        fields["shots"] = args.shots
-    return ExperimentConfig(**fields)
+            values[key] = val
+    cfg = ExperimentConfig(**values)
+    t_max = getattr(args, "t_max", None)
+    if cfg.dt is None and t_max is not None:
+        cfg = replace(cfg, dt=t_max / cfg.resolved_samples())
+    return cfg
 
 
 def main(argv=None) -> int:
@@ -340,7 +338,7 @@ def main(argv=None) -> int:
         return 2
     if args.command == "spectrum":
         return cmd_spectrum(cfg)
-    return cmd_timeseries(cfg, t_max=args.t_max)
+    return cmd_timeseries(cfg)
 
 
 if __name__ == "__main__":

@@ -82,25 +82,14 @@ def run_circuit(circ: Circuit, state: StateVector | None = None) -> StateVector:
 
 @dataclass(frozen=True)
 class MeasurementConfig:
-    """Readout mode: exact probe expectation, or a finite seeded shot count."""
+    """Readout: exact probe expectation (shots None), or a seeded shot count."""
 
-    mode: str = "exact"
-    shots: int = 0
+    shots: int | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("exact", "shots"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "shots" and self.shots <= 0:
-            raise ValueError("shots mode needs a positive shot count")
-
-    @classmethod
-    def exact(cls) -> "MeasurementConfig":
-        return cls()
-
-    @classmethod
-    def with_shots(cls, shots: int, seed: int = 0) -> "MeasurementConfig":
-        return cls(mode="shots", shots=shots, seed=seed)
+        if self.shots is not None and self.shots <= 0:
+            raise ValueError(f"shot count must be positive, got {self.shots}")
 
 
 def probe_expectation(d: PauliCoefficients, t: float,
@@ -108,16 +97,16 @@ def probe_expectation(d: PauliCoefficients, t: float,
                       rng: np.random.Generator | None = None) -> float:
     """Probe observable at time t, read off the compiled protocol circuit.
 
-    Exact mode returns <Z> of q0 after the final basis rotation, which
-    equals the probe x-expectation under the evolution.  Shots mode draws
-    the q0 outcome counts from a binomial with the exact probability and
-    returns (N0 - N1)/S; a fresh generator is seeded from cfg.seed unless
-    one is passed in (sample_series threads a single generator through the
-    whole series).
+    Exact readout (cfg.shots None) returns <Z> of q0 after the final basis
+    rotation, which equals the probe x-expectation under the evolution.
+    Shot readout draws the q0 outcome counts from a binomial with the exact
+    probability and returns (N0 - N1)/S; a fresh generator is seeded from
+    cfg.seed unless one is passed in (sample_series threads a single
+    generator through the whole series).
     """
-    cfg = cfg or MeasurementConfig.exact()
+    cfg = cfg or MeasurementConfig()
     state = run_circuit(build_protocol_circuit(d, t))
-    if cfg.mode == "exact":
+    if cfg.shots is None:
         return state.expect_z(0)
     p0 = min(1.0, max(0.0, state.probability(0, 0)))
     gen = rng if rng is not None else np.random.default_rng(cfg.seed)
@@ -139,9 +128,9 @@ def evolve_exact(h, t: float) -> float:
     Computes <+...+| x0 exp(-2 i t z0 (x) H) |+...+> by eigendecomposition
     of the total generator.  Because x0 flips the probe and anticommutes
     with the generator, the value is a weighted sum of cos(2 w_k t) over
-    the generator eigenvalues, hence real; the residual imaginary part is
-    asserted away.  Accepts a TruncatedOperator, a bare 4x4 matrix, or
-    PauliCoefficients.
+    the generator eigenvalues, hence real; a residual imaginary part above
+    rounding raises RuntimeError.  Accepts a TruncatedOperator, a bare 4x4
+    matrix, or PauliCoefficients.
     """
     if isinstance(h, PauliCoefficients):
         h = reconstruct(h)
@@ -150,7 +139,8 @@ def evolve_exact(h, t: float) -> float:
     psi0 = np.full(8, 1.0 / math.sqrt(8.0))
     overlaps = vecs.T.conj() @ psi0
     val = np.sum(np.abs(overlaps) ** 2 * np.exp(-2j * w * t))
-    assert abs(val.imag) < 1e-12, "evolution lost the spectral +/- symmetry"
+    if abs(val.imag) >= 1e-12:
+        raise RuntimeError("evolution lost the spectral +/- symmetry")
     return float(val.real)
 
 

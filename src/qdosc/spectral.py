@@ -42,7 +42,12 @@ class TimeSeries:
     samples: np.ndarray
 
     def __post_init__(self):
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"sample spacing must be finite and positive, "
+                             f"got {self.dt}")
         s = np.asarray(self.samples, dtype=float)
+        if not np.isfinite(s).all():
+            raise ValueError("time series holds non-finite samples")
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
 
@@ -107,6 +112,18 @@ def _write_csv(path, header: str, *columns) -> None:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
+def default_samples(cfg: MeasurementConfig) -> int:
+    """Sample count used when none is given; shot readout takes more to
+    average down its noise."""
+    return DEFAULT_SAMPLES_EXACT if cfg.shots is None else DEFAULT_SAMPLES_SHOTS
+
+
+def check_sample_count(m: int) -> None:
+    """The transform needs a power of two of at least 16 samples."""
+    if m < 16 or m & (m - 1):
+        raise ValueError(f"sample count must be a power of two >= 16, got {m}")
+
+
 def energy_scale_estimate(d: PauliCoefficients) -> float:
     """Upper bound sum|d_i| on the top level energy."""
     return float(np.abs(d.as_array()).sum())
@@ -124,15 +141,14 @@ def sample_series(d: PauliCoefficients, dt: float | None = None,
     """Probe expectation sampled at t_j = j dt for j = 0 .. m-1.
 
     Refuses spacings that alias the estimated top frequency: requires
-    pi/dt > 2 sum|d_i|.  In shots mode one seeded generator is advanced
+    pi/dt > 2 sum|d_i|.  With shot readout one seeded generator is advanced
     across the series so the draws are independent sample to sample yet
     fully reproducible from cfg.seed.
     """
-    cfg = cfg or MeasurementConfig.exact()
+    cfg = cfg or MeasurementConfig()
     if m is None:
-        m = DEFAULT_SAMPLES_EXACT if cfg.mode == "exact" else DEFAULT_SAMPLES_SHOTS
-    if m < 16 or m & (m - 1):
-        raise ValueError(f"sample count must be a power of two >= 16, got {m}")
+        m = default_samples(cfg)
+    check_sample_count(m)
     if dt is None:
         dt = default_dt(d)
     top = 2.0 * energy_scale_estimate(d)
@@ -140,7 +156,7 @@ def sample_series(d: PauliCoefficients, dt: float | None = None,
         raise NyquistViolation(
             f"dt={dt} gives bandwidth {math.pi / dt:.4g} <= estimated top "
             f"frequency {top:.4g}")
-    rng = np.random.default_rng(cfg.seed) if cfg.mode == "shots" else None
+    rng = None if cfg.shots is None else np.random.default_rng(cfg.seed)
     samples = np.array([probe_expectation(d, j * dt, cfg, rng=rng)
                         for j in range(m)])
     return TimeSeries(dt=dt, samples=samples)

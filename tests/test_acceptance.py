@@ -146,13 +146,13 @@ def test_shot_noise_scale_and_level_recovery():
     shots = 1024
     for t in (0.3, 0.7, 1.1):
         mu = evolve_exact(d, t)
-        vals = [probe_expectation(d, t, MeasurementConfig.with_shots(shots, s))
+        vals = [probe_expectation(d, t, MeasurementConfig(shots, s))
                 for s in range(20)]
         predicted = math.sqrt((1.0 - mu * mu) / shots)
         ratio = np.std(vals, ddof=1) / predicted
         assert 0.75 < ratio < 1.25, f"t={t}: std ratio {ratio:.3f}"
 
-    cfg = MeasurementConfig.with_shots(shots, seed=0)
+    cfg = MeasurementConfig(shots, seed=0)
     _, lv = run_pipeline(d, m=8192, cfg=cfg)
     np.testing.assert_allclose(lv.levels, [0.5, 1.5, 2.5, 3.5], atol=5e-2)
 

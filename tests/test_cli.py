@@ -94,8 +94,7 @@ class TestConfig:
         ExperimentConfig(),
         ExperimentConfig(model="ho", q_grid=(0.5, 1.0, 1.5), gamma=0.3,
                          samples=512, out="runs"),
-        ExperimentConfig(model="ao", delta=0.5, dt=0.07, mode="shots",
-                         shots=2048, seed=11),
+        ExperimentConfig(model="ao", delta=0.5, dt=0.07, shots=2048, seed=11),
     ])
     def test_text_round_trip(self, cfg):
         assert ExperimentConfig.from_text(cfg.to_text()) == cfg
@@ -117,7 +116,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(model="bogus")
         with pytest.raises(ValueError):
-            ExperimentConfig(mode="sometimes")
+            ExperimentConfig(shots=0)
+        with pytest.raises(ValueError):
+            ExperimentConfig(q_grid=())
 
 
 def test_q_grid_parsing():
@@ -125,6 +126,8 @@ def test_q_grid_parsing():
     assert _parse_q_grid("1.0:1.0:0.1") == (1.0,)
     with pytest.raises(ValueError):
         _parse_q_grid("1.0:2.0:-0.5")
+    with pytest.raises(ValueError):
+        _parse_q_grid("1.2:0.8:0.1")
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -139,6 +142,19 @@ def test_config_file_with_flag_override(tmp_path):
     assert manifest["config"]["model"] == "ho"
     assert tuple(manifest["config"]["q_grid"]) == (0.5, 1.5)
     assert len(load_rows(tmp_path / "spectrum_ho.csv")) == 2
+
+
+def test_config_file_shots_match_the_flag(tmp_path):
+    cfg_path = tmp_path / "shots.cfg"
+    cfg_path.write_text("shots = 256\nseed = 3\n")
+    args = ["timeseries", "--model", "h0", "--q", "1.0", "--samples", "256"]
+    assert main(args + ["--config", str(cfg_path), "--out", str(tmp_path / "a")]) == 0
+    assert main(args + ["--shots", "256", "--seed", "3",
+                        "--out", str(tmp_path / "b")]) == 0
+    name = "timeseries_h0_q1.csv"
+    assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    manifest = json.loads((tmp_path / "a" / "run_manifest.json").read_text())
+    assert manifest["config"]["shots"] == 256 and "mode" not in manifest["config"]
 
 
 def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
@@ -167,10 +183,25 @@ def test_unresolved_peaks_error_names_the_q_point(tmp_path, capsys):
     assert "q=1.0" in err and "peak" in err
 
 
-def test_malformed_grid_flag_exits_cleanly(capsys):
-    rc = main(["spectrum", "--model", "h0", "--q-grid", "1:2"])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
+def test_malformed_grid_flag_exits_cleanly(tmp_path, capsys):
+    # each is an unusable argument: exit 2 before any sampling or output
+    cases = [["spectrum", "--q-grid", "1:2"],
+             ["spectrum", "--q-grid", "1.2:0.8:0.1"],
+             ["spectrum", "--q", "nan"],
+             ["spectrum", "--q", "inf"],
+             ["spectrum", "--q", "0"],
+             ["spectrum", "--model", "ho", "--gamma", "-5"],
+             ["spectrum", "--model", "ao", "--delta", "nan"],
+             ["spectrum", "--shots", "0"],
+             ["spectrum", "--samples", "100"],
+             ["spectrum", "--samples", "0"],
+             ["spectrum", "--dt", "-1"],
+             ["timeseries", "--t-max", "0"]]
+    for i, argv in enumerate(cases):
+        out = tmp_path / str(i)
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists(), argv
 
 
 def test_verify_reports_all_suites(capsys):

@@ -144,38 +144,38 @@ def test_total_hamiltonian_shape_check():
 class TestShots:
     def test_measurement_config_validation(self):
         with pytest.raises(ValueError):
-            MeasurementConfig(mode="fuzzy")
+            MeasurementConfig(-5)
         with pytest.raises(ValueError):
-            MeasurementConfig.with_shots(0)
-        assert MeasurementConfig.exact().mode == "exact"
+            MeasurementConfig(0)
+        assert MeasurementConfig().shots is None
 
     def test_seed_reproducibility(self):
         d = coeffs_h0(1.0)
-        cfg = MeasurementConfig.with_shots(1024, seed=5)
+        cfg = MeasurementConfig(1024, seed=5)
         a = sample_series(d, dt=0.3, m=32, cfg=cfg)
         b = sample_series(d, dt=0.3, m=32, cfg=cfg)
         np.testing.assert_array_equal(a.samples, b.samples)
         c = sample_series(d, dt=0.3, m=32,
-                          cfg=MeasurementConfig.with_shots(1024, seed=6))
+                          cfg=MeasurementConfig(1024, seed=6))
         assert not np.array_equal(a.samples, c.samples)
 
     def test_values_are_quantized(self):
         d = coeffs_h0(1.0)
         s = 64
         ts = sample_series(d, dt=0.3, m=16,
-                           cfg=MeasurementConfig.with_shots(s, seed=1))
+                           cfg=MeasurementConfig(s, seed=1))
         counts = (ts.samples * s + s) / 2.0
         np.testing.assert_allclose(counts, np.round(counts), atol=1e-9)
 
     def test_certain_outcome_stays_exact(self):
         # t = 0 prepares the probe in the +1 eigenstate, so every shot agrees
         val = probe_expectation(coeffs_h0(1.0), 0.0,
-                                MeasurementConfig.with_shots(128, seed=0))
+                                MeasurementConfig(128, seed=0))
         assert val == 1.0
 
     def test_mean_converges_to_exact_value(self):
         d = coeffs_h0(1.0)
         mu = evolve_exact(reconstruct(d), 0.3)
-        means = [probe_expectation(d, 0.3, MeasurementConfig.with_shots(4096, s))
+        means = [probe_expectation(d, 0.3, MeasurementConfig(4096, s))
                  for s in range(40)]
         assert abs(np.mean(means) - mu) < 0.01

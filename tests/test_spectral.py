@@ -56,7 +56,7 @@ class TestSampleSeries:
             sample_series(coeffs_h0(1.0), dt=0.1, m=bad_m)
 
     def test_shot_series_is_seeded(self):
-        cfg = MeasurementConfig.with_shots(256, seed=9)
+        cfg = MeasurementConfig(256, seed=9)
         a = sample_series(coeffs_h0(1.0), dt=0.2, m=16, cfg=cfg)
         b = sample_series(coeffs_h0(1.0), dt=0.2, m=16, cfg=cfg)
         np.testing.assert_array_equal(a.samples, b.samples)
@@ -199,6 +199,17 @@ def test_csv_round_trip(tmp_path):
     data = np.loadtxt(sp_path, delimiter=",", skiprows=1)
     np.testing.assert_array_equal(data[:, 0], spec.frequencies)
     np.testing.assert_array_equal(data[:, 1], spec.values)
+
+
+def test_series_rejects_non_finite_input():
+    good = make_series([1.0, 3.0, 5.0, 7.0], m=256)
+    bad = good.samples.copy()
+    bad[17] = np.nan  # would otherwise end in InsufficientPeaks
+    with pytest.raises(ValueError):
+        TimeSeries(dt=good.dt, samples=bad)
+    for dt in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            TimeSeries(dt=dt, samples=good.samples)
 
 
 def test_series_is_read_only():
