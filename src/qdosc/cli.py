@@ -14,7 +14,7 @@ import numpy as np
 from . import __version__
 from .analytic import exact_diag, spectrum_h0, spectrum_hho_paper
 from .circuit import build_evolution_block, circuit_unitary, phase_aligned_distance
-from .qops import ModelParams, build_hamiltonian
+from .qops import MODELS, ModelParams, build_hamiltonian
 from .simulator import MeasurementConfig, evolution_target, evolve_exact, probe_expectation
 from .spectral import (InsufficientPeaks, _write_csv, check_sample_count,
                        default_samples, detect_levels, dft_real, match_levels,
@@ -48,7 +48,7 @@ class ExperimentConfig:
     out: str = "."
 
     def __post_init__(self):
-        if self.model not in ("h0", "ho", "ao"):
+        if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         object.__setattr__(self, "q_grid", tuple(float(q) for q in self.q_grid))
         if not self.q_grid or not all(math.isfinite(q) and q > 0 for q in self.q_grid):
@@ -61,7 +61,9 @@ class ExperimentConfig:
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if self.samples is not None:
             check_sample_count(self.samples)
-        self.measurement()  # rejects shots <= 0
+        if not self.out:
+            raise ValueError("output directory must not be empty")
+        self.measurement()  # rejects shots <= 0 and seed < 0
 
     def measurement(self) -> MeasurementConfig:
         return MeasurementConfig(self.shots, self.seed)
@@ -106,46 +108,45 @@ def _reference_levels(cfg: ExperimentConfig, q: float) -> np.ndarray:
     return exact_diag(ham).levels
 
 
-def _detect_for_q(cfg: ExperimentConfig, q: float):
+def _series_for_q(cfg: ExperimentConfig, q: float):
+    """Probe series at q and its windowed spectrum."""
     d = model_coefficients(cfg.model, q, cfg.gamma, cfg.delta)
     ts = sample_series(d, dt=cfg.dt, m=cfg.resolved_samples(), cfg=cfg.measurement())
-    spec = dft_real(ts, window=PIPELINE_WINDOW)
-    levels = detect_levels(spec, n_expected=4, min_prominence=PIPELINE_PROMINENCE)
-    return d, ts, spec, levels
+    return ts, dft_real(ts, window=PIPELINE_WINDOW)
 
 
-def _outdir(cfg: ExperimentConfig) -> str:
-    out = os.environ.get(OUTDIR_ENV, cfg.out)
-    os.makedirs(out, exist_ok=True)
-    return out
+def _detect_for_q(cfg: ExperimentConfig, q: float):
+    ts, spec = _series_for_q(cfg, q)
+    return ts, detect_levels(spec, n_expected=4, min_prominence=PIPELINE_PROMINENCE)
 
 
-def _write_manifest(cfg: ExperimentConfig, outdir: str, command: str,
-                    per_q: list[dict]) -> None:
+def _write_manifest(cfg: ExperimentConfig, command: str, series) -> None:
+    """Record the run from its config and the (q, series) pairs it sampled."""
     manifest = {
         "command": command,
         "version": __version__,
         "config": asdict(cfg),
         "detection": {"window": PIPELINE_WINDOW, "prominence": PIPELINE_PROMINENCE},
-        "per_q": per_q,
+        "per_q": [{"q": q, "dt": ts.dt, "samples": len(ts.samples)}
+                  for q, ts in series],
     }
-    with open(os.path.join(outdir, "run_manifest.json"), "w") as fh:
+    with open(os.path.join(cfg.out, "run_manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
     """Detect levels for every q in the grid and write one CSV row each."""
-    outdir = _outdir(cfg)
+    os.makedirs(cfg.out, exist_ok=True)
     header = ["q"]
     header += [f"e{i}_detected" for i in range(1, 5)]
     header += [f"e{i}_reference" for i in range(1, 5)]
     header += [f"abs_err{i}" for i in range(1, 5)]
     if cfg.model == "ho":
         header += [f"e{i}_shifted_omega" for i in range(1, 5)]
-    rows, per_q = [], []
+    rows, series = [], []
     for q in cfg.q_grid:
         try:
-            d, ts, _, levels = _detect_for_q(cfg, q)
+            ts, levels = _detect_for_q(cfg, q)
         except (InsufficientPeaks, ValueError) as exc:
             print(f"error: q={q}: {exc}", file=sys.stderr)
             return 1
@@ -155,33 +156,29 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
         if cfg.model == "ho":
             row += list(spectrum_hho_paper(q, cfg.gamma).levels)
         rows.append(row)
-        per_q.append({"q": q, "dt": ts.dt, "samples": len(ts.samples)})
-    path = os.path.join(outdir, f"spectrum_{cfg.model}.csv")
+        series.append((q, ts))
+    path = os.path.join(cfg.out, f"spectrum_{cfg.model}.csv")
     _write_csv(path, ",".join(header), *zip(*rows))
-    _write_manifest(cfg, outdir, "spectrum", per_q)
+    _write_manifest(cfg, "spectrum", series)
     print(f"wrote {path} ({len(rows)} q point(s))")
     return 0
 
 
 def cmd_timeseries(cfg: ExperimentConfig) -> int:
     """Emit the sampled series and its spectrum for the first grid q."""
-    outdir = _outdir(cfg)
+    os.makedirs(cfg.out, exist_ok=True)
     q = cfg.q_grid[0]
-    d = model_coefficients(cfg.model, q, cfg.gamma, cfg.delta)
     try:
-        ts = sample_series(d, dt=cfg.dt, m=cfg.resolved_samples(),
-                           cfg=cfg.measurement())
-    except (InsufficientPeaks, ValueError) as exc:
+        ts, spec = _series_for_q(cfg, q)
+    except ValueError as exc:
         print(f"error: q={q}: {exc}", file=sys.stderr)
         return 1
-    spec = dft_real(ts, window=PIPELINE_WINDOW)
     tag = f"{cfg.model}_q{q:g}"
-    ts_path = os.path.join(outdir, f"timeseries_{tag}.csv")
-    sp_path = os.path.join(outdir, f"spectrum_points_{tag}.csv")
+    ts_path = os.path.join(cfg.out, f"timeseries_{tag}.csv")
+    sp_path = os.path.join(cfg.out, f"spectrum_points_{tag}.csv")
     ts.write_csv(ts_path)
     spec.write_csv(sp_path)
-    _write_manifest(cfg, outdir, "timeseries",
-                    [{"q": q, "dt": ts.dt, "samples": len(ts.samples)}])
+    _write_manifest(cfg, "timeseries", [(q, ts)])
     print(f"wrote {ts_path} and {sp_path}")
     return 0
 
@@ -194,7 +191,7 @@ def _verify_suites() -> list[tuple[str, int, float, float]]:
     dev, n = 0.0, 0
     for q in grid_q:
         for t in (0.1, 0.7, 1.3):
-            for d in _verify_models(q):
+            for d, _ in _verify_models(q):
                 got = circuit_unitary(build_evolution_block(d, t))
                 dev = max(dev, phase_aligned_distance(got, evolution_target(d, t)))
                 n += 1
@@ -210,7 +207,7 @@ def _verify_suites() -> list[tuple[str, int, float, float]]:
 
     dev, n = 0.0, 0
     for q in grid_q:
-        for d, ham in _verify_model_pairs(q):
+        for d, ham in _verify_models(q):
             dev = max(dev, float(np.abs(
                 pauli_decompose(ham).as_array() - d.as_array()).max()))
             n += 1
@@ -234,7 +231,7 @@ def _verify_suites() -> list[tuple[str, int, float, float]]:
                                    ("ao", 0.8, 0.0, 0.1)):
         cfg = ExperimentConfig(model=model, q_grid=(q,), gamma=gamma, delta=delta,
                                samples=2048)
-        _, ts, _, levels = _detect_for_q(cfg, q)
+        ts, levels = _detect_for_q(cfg, q)
         ref = _reference_levels(cfg, q)
         halfbin = np.pi / (len(ts.samples) * ts.dt)
         dev = max(dev, match_levels(levels, ref).max_error / halfbin)
@@ -244,21 +241,13 @@ def _verify_suites() -> list[tuple[str, int, float, float]]:
 
 
 def _verify_models(q: float):
-    yield model_coefficients("h0", q)
-    for gamma in (0.1, 0.5, 1.0):
-        yield model_coefficients("ho", q, gamma=gamma)
-    for delta in (0.1, 0.5):
-        yield model_coefficients("ao", q, delta=delta)
-
-
-def _verify_model_pairs(q: float):
-    yield model_coefficients("h0", q), build_hamiltonian("h0", 4, q)
-    for gamma in (0.1, 0.5, 1.0):
-        yield (model_coefficients("ho", q, gamma=gamma),
-               build_hamiltonian("ho", 4, q, ModelParams(gamma=gamma)))
-    for delta in (0.1, 0.5):
-        yield (model_coefficients("ao", q, delta=delta),
-               build_hamiltonian("ao", 4, q, ModelParams(delta=delta)))
+    """(coefficients, Hamiltonian) at q for each model point the suites cover."""
+    points = [("h0", ModelParams())]
+    points += [("ho", ModelParams(gamma=gamma)) for gamma in (0.1, 0.5, 1.0)]
+    points += [("ao", ModelParams(delta=delta)) for delta in (0.1, 0.5)]
+    for model, params in points:
+        yield (model_coefficients(model, q, params.gamma, params.delta),
+               build_hamiltonian(model, 4, q, params))
 
 
 def cmd_verify() -> int:
@@ -293,6 +282,7 @@ def _build_config(args) -> ExperimentConfig:
         val = getattr(args, key)
         if val is not None:
             values[key] = val
+    values["out"] = os.environ.get(OUTDIR_ENV, values["out"])
     cfg = ExperimentConfig(**values)
     t_max = getattr(args, "t_max", None)
     if cfg.dt is None and t_max is not None:
@@ -308,7 +298,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", choices=("h0", "ho", "ao"))
+    common.add_argument("--model", choices=MODELS)
     common.add_argument("--q", type=float, help="single deformation value")
     common.add_argument("--q-grid", help="start:stop:step, endpoints inclusive")
     common.add_argument("--gamma", type=float, help="quadratic coupling")

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PAD = {"X2": 1, "P2": 1, "X4": 2}
+#: the oscillator models: free (h0), quadratic (ho) and quartic (ao) perturbation
+MODELS = ("h0", "ho", "ao")
 
 
 def q_number(n: int, q: float) -> float:
@@ -177,8 +179,8 @@ def build_hamiltonian(model: str, dim: int, q: float,
     The diagonal closed form for h0 coincides with (X2 + P2)/2 built from
     the edge-corrected squares.
     """
-    if model not in ("h0", "ho", "ao"):
-        raise ValueError(f"unknown model {model!r}, expected h0, ho or ao")
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
     if dim < 2:
         raise ValueError(f"need at least two levels, got dim={dim}")
     params = params or ModelParams()

@@ -90,6 +90,8 @@ class MeasurementConfig:
     def __post_init__(self):
         if self.shots is not None and self.shots <= 0:
             raise ValueError(f"shot count must be positive, got {self.shots}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def probe_expectation(d: PauliCoefficients, t: float,
@@ -115,7 +117,7 @@ def probe_expectation(d: PauliCoefficients, t: float,
 
 
 def total_hamiltonian(h) -> np.ndarray:
-    """8x8 generator z0 (x) H in level ordering of the system indices."""
+    """8x8 generator z0 (x) H, with H in the index order it is given in."""
     m = as_matrix(h)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 system matrix, got shape {m.shape}")
@@ -151,7 +153,5 @@ def evolution_target(d: PauliCoefficients, t: float) -> np.ndarray:
     global phase.  Computed by eigendecomposition of the Hermitian
     generator, a route independent of the gate compilation.
     """
-    hw = system_to_wires(reconstruct(d))
-    ht = np.kron(np.diag([1.0, -1.0]), hw)
-    w, vecs = np.linalg.eigh(ht)
+    w, vecs = np.linalg.eigh(total_hamiltonian(system_to_wires(reconstruct(d))))
     return (vecs * np.exp(-1j * w * t)) @ vecs.T.conj()

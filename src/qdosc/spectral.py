@@ -193,22 +193,16 @@ def dft_real(ts: TimeSeries, window: str = "rect") -> Spectrum:
                     values=np.fft.fftshift(values))
 
 
-def _parabolic_refine(ym: float, y0: float, yp: float) -> float:
-    """Vertex offset in bins of the parabola through three equispaced
-    points; y0 must be the strict maximum so the result lies in (-1, 1)."""
-    denom = 2.0 * (2.0 * y0 - ym - yp)
-    return (yp - ym) / denom if denom != 0.0 else 0.0
-
-
 def detect_levels(spec: Spectrum, n_expected: int = 4,
                   min_prominence: float = DEFAULT_PROMINENCE) -> EnergyLevels:
     """Recover energy levels from positive-frequency spectral peaks.
 
-    A peak is a strict local maximum at w > 0 whose height exceeds
-    min_prominence times the tallest positive-frequency value.  Each peak
-    frequency is refined by parabolic interpolation through its three
-    bins, and the level is half the refined frequency.  If more peaks
-    qualify than requested the tallest n_expected are kept; if fewer,
+    A peak is a strict local maximum at w > 0, away from either end of the
+    array, whose height exceeds min_prominence times the tallest
+    positive-frequency value.  Each peak frequency is refined to the vertex
+    of the parabola through its three bins, and the level is half the
+    refined frequency.  If more peaks qualify than requested the tallest
+    n_expected are kept, the lower frequency winning a tie; if fewer,
     InsufficientPeaks is raised.
     """
     freqs, vals = spec.frequencies, spec.values
@@ -217,21 +211,20 @@ def detect_levels(spec: Spectrum, n_expected: int = 4,
                             bin_width=spec.bin_width)
     pos = freqs > 0
     floor = min_prominence * vals[pos].max()
-    peaks = []
-    for k in np.nonzero(pos)[0]:
-        if k == 0 or k == len(vals) - 1:
-            continue
-        if vals[k] > vals[k - 1] and vals[k] > vals[k + 1] and vals[k] > floor:
-            shift = _parabolic_refine(vals[k - 1], vals[k], vals[k + 1])
-            peaks.append((freqs[k] + shift * spec.bin_width, vals[k]))
+    # views of every inner bin and its two neighbours; no copies
+    ym, y0, yp = vals[:-2], vals[1:-1], vals[2:]
+    peaks = 1 + np.nonzero(pos[1:-1] & (y0 > ym) & (y0 > yp) & (y0 > floor))[0]
     if len(peaks) < n_expected:
         raise InsufficientPeaks(
             f"found {len(peaks)} peak(s) above prominence {min_prominence}, "
             f"needed {n_expected}")
-    peaks.sort(key=lambda p: -p[1])
-    kept = sorted(peaks[:n_expected])
-    return EnergyLevels(levels=np.array([0.5 * w for w, _ in kept]),
-                        heights=np.array([h for _, h in kept]),
+    ym, y0, yp = vals[peaks - 1], vals[peaks], vals[peaks + 1]
+    # vertex offset in bins; y0 is the strict maximum, so it lies in (-1, 1)
+    denom = 2.0 * (2.0 * y0 - ym - yp)
+    shift = np.divide(yp - ym, denom, out=np.zeros_like(denom), where=denom != 0.0)
+    kept = np.sort(np.argsort(-y0, kind="stable")[:n_expected])
+    omega = freqs[peaks[kept]] + shift[kept] * spec.bin_width
+    return EnergyLevels(levels=0.5 * omega, heights=y0[kept],
                         bin_width=spec.bin_width)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qops import as_matrix, build_padded_power, q_number
+from .qops import MODELS, as_matrix, build_padded_power, q_number
 
 _I2 = np.eye(2)
 _Z = np.diag([1.0, -1.0])
@@ -170,4 +170,4 @@ def model_coefficients(model: str, q: float, gamma: float = 0.0,
         return coeffs_hho(q, gamma)
     if model == "ao":
         return coeffs_hao(q, delta)
-    raise ValueError(f"unknown model {model!r}, expected h0, ho or ao")
+    raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")

@@ -167,6 +167,33 @@ def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
     assert not (tmp_path / "ignored").exists()
 
 
+def test_empty_output_dir_exits_cleanly(tmp_path, monkeypatch, capsys):
+    # flag, config file and environment all name the output directory
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.delenv("QDOSC_OUT", raising=False)
+    cfg_path = tmp_path / "empty_out.cfg"
+    cfg_path.write_text("out =\n")
+    args = ["timeseries", "--q", "1.0", "--samples", "16"]
+    assert main(args + ["--out", ""]) == 2
+    assert main(args + ["--config", str(cfg_path)]) == 2
+    monkeypatch.setenv("QDOSC_OUT", "")
+    assert main(args + ["--out", str(tmp_path / "flag")]) == 2
+    assert capsys.readouterr().err.count("output directory must not be empty") == 3
+    assert not any(work.iterdir())
+    assert not (tmp_path / "flag").exists()
+
+
+def test_manifest_records_the_directory_written(tmp_path, monkeypatch):
+    env_dir = tmp_path / "from_env"
+    monkeypatch.setenv("QDOSC_OUT", str(env_dir))
+    assert main(["timeseries", "--q", "1.0", "--samples", "16",
+                 "--out", str(tmp_path / "ignored")]) == 0
+    manifest = json.loads((env_dir / "run_manifest.json").read_text())
+    assert manifest["config"]["out"] == str(env_dir)
+
+
 def test_aliasing_error_names_the_q_point(tmp_path, capsys):
     rc = main(["spectrum", "--model", "h0", "--q", "1.0", "--dt", "0.5",
                "--samples", "32", "--out", str(tmp_path)])
@@ -193,6 +220,7 @@ def test_malformed_grid_flag_exits_cleanly(tmp_path, capsys):
              ["spectrum", "--model", "ho", "--gamma", "-5"],
              ["spectrum", "--model", "ao", "--delta", "nan"],
              ["spectrum", "--shots", "0"],
+             ["spectrum", "--shots", "16", "--seed", "-1"],
              ["spectrum", "--samples", "100"],
              ["spectrum", "--samples", "0"],
              ["spectrum", "--dt", "-1"],

@@ -147,6 +147,8 @@ class TestShots:
             MeasurementConfig(-5)
         with pytest.raises(ValueError):
             MeasurementConfig(0)
+        with pytest.raises(ValueError):
+            MeasurementConfig(16, seed=-1)
         assert MeasurementConfig().shots is None
 
     def test_seed_reproducibility(self):

@@ -127,7 +127,76 @@ class TestTransform:
         assert abs(got[1] - w_off) < 0.5 * hann.bin_width
 
 
+def loop_detect(spec, n_expected, min_prominence):
+    """The peak rule written bin by bin: (levels, heights), or None when
+    fewer than n_expected peaks qualify."""
+    freqs, vals = spec.frequencies, spec.values
+    floor = min_prominence * vals[freqs > 0].max()
+    peaks = []
+    for k in range(1, len(vals) - 1):
+        ym, y0, yp = vals[k - 1], vals[k], vals[k + 1]
+        if freqs[k] > 0 and y0 > ym and y0 > yp and y0 > floor:
+            shift = (yp - ym) / (2.0 * (2.0 * y0 - ym - yp))
+            peaks.append((freqs[k] + shift * spec.bin_width, y0))
+    if len(peaks) < n_expected:
+        return None
+    peaks.sort(key=lambda p: -p[1])
+    kept = sorted(peaks[:n_expected])
+    return np.array([0.5 * w for w, _ in kept]), np.array([h for _, h in kept])
+
+
+def spikes(heights, m=16, dt=0.1):
+    """Spectrum that is zero apart from the given {bin index: value}."""
+    vals = np.zeros(m)
+    for k, h in heights.items():
+        vals[k] = h
+    return Spectrum(frequencies=np.fft.fftshift(2.0 * math.pi * np.fft.fftfreq(m, d=dt)),
+                    values=vals)
+
+
 class TestDetectLevels:
+    def test_matches_a_per_bin_loop(self):
+        rng = np.random.default_rng(11)
+        spectra = [dft_real(make_series([2.0, 3.1, 5.7], amps=[1.0, 0.4, 0.7]),
+                            window=window) for window in ("rect", "hann")]
+        for m in (16, 64, 512, 4096):
+            freqs = np.fft.fftshift(2.0 * math.pi * np.fft.fftfreq(m, d=0.1))
+            for _ in range(4):
+                vals = rng.normal(size=m)
+                spectra.append(Spectrum(frequencies=freqs, values=vals))
+                # rounded values tie often, between neighbours and between peaks
+                spectra.append(Spectrum(frequencies=freqs, values=np.round(vals, 1)))
+        for spec in spectra:
+            for n in (1, 3, 4):
+                for prominence in (0.0, 0.05, 0.5):
+                    want = loop_detect(spec, n, prominence)
+                    if want is None:
+                        with pytest.raises(InsufficientPeaks):
+                            detect_levels(spec, n, prominence)
+                        continue
+                    lv = detect_levels(spec, n, prominence)
+                    assert np.array_equal(lv.levels, want[0])
+                    assert np.array_equal(lv.heights, want[1])
+
+    def test_equal_heights_keep_the_lower_frequency(self):
+        spec = spikes({10: 1.0, 13: 1.0})
+        lv = detect_levels(spec, n_expected=1, min_prominence=0.5)
+        assert lv.levels[0] == 0.5 * spec.frequencies[10]
+
+    def test_last_bin_is_never_a_peak(self):
+        spec = spikes({11: 1.0, 15: 5.0})
+        lv = detect_levels(spec, n_expected=1, min_prominence=0.1)
+        assert lv.levels[0] == 0.5 * spec.frequencies[11]
+        with pytest.raises(InsufficientPeaks,
+                           match=r"^found 1 peak\(s\) above prominence 0.1, needed 2$"):
+            detect_levels(spec, n_expected=2, min_prominence=0.1)
+
+    def test_keeps_the_tallest_in_ascending_order(self):
+        spec = spikes({9: 0.9, 11: 0.5, 13: 1.0})
+        lv = detect_levels(spec, n_expected=2, min_prominence=0.1)
+        np.testing.assert_array_equal(lv.levels, 0.5 * spec.frequencies[[9, 13]])
+        np.testing.assert_array_equal(lv.heights, [0.9, 1.0])
+
     def test_no_levels_requested(self):
         spec = dft_real(make_series([2.0]))
         lv = detect_levels(spec, n_expected=0)
