@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qops import as_matrix, build_hamiltonian
+from .qops import as_matrix, build_hamiltonian, freeze_arrays
 
 BLOCK_TOL = 1e-12
 
@@ -23,9 +23,7 @@ class ReferenceSpectrum:
     levels: np.ndarray
 
     def __post_init__(self):
-        lv = np.asarray(self.levels, dtype=float)
-        lv.setflags(write=False)
-        object.__setattr__(self, "levels", lv)
+        freeze_arrays(self, "levels")
 
 
 def spectrum_h0(q: float, dim: int = 4) -> ReferenceSpectrum:

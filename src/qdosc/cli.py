@@ -136,7 +136,6 @@ def _write_manifest(cfg: ExperimentConfig, command: str, series) -> None:
 
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
     """Detect levels for every q in the grid and write one CSV row each."""
-    os.makedirs(cfg.out, exist_ok=True)
     header = ["q"]
     header += [f"e{i}_detected" for i in range(1, 5)]
     header += [f"e{i}_reference" for i in range(1, 5)]
@@ -166,7 +165,6 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
 
 def cmd_timeseries(cfg: ExperimentConfig) -> int:
     """Emit the sampled series and its spectrum for the first grid q."""
-    os.makedirs(cfg.out, exist_ok=True)
     q = cfg.q_grid[0]
     try:
         ts, spec = _series_for_q(cfg, q)
@@ -323,6 +321,7 @@ def main(argv=None) -> int:
         return cmd_verify()
     try:
         cfg = _build_config(args)
+        os.makedirs(cfg.out, exist_ok=True)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

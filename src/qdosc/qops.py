@@ -83,6 +83,18 @@ class ModelParams:
         return self.gamma / 2.0
 
 
+def freeze_arrays(obj, *names: str) -> None:
+    """Replace each named field of a frozen dataclass by a read-only float view.
+
+    The view shares the given array's data without copying it, so the
+    caller's own array stays writable; writes to it show through the field.
+    """
+    for name in names:
+        view = np.asarray(getattr(obj, name), dtype=float).view()
+        view.setflags(write=False)
+        object.__setattr__(obj, name, view)
+
+
 @dataclass(frozen=True)
 class TruncatedOperator:
     """A Hermitian (here: real symmetric) operator on the truncated basis."""
@@ -90,11 +102,10 @@ class TruncatedOperator:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        freeze_arrays(self, "matrix")
+        m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {m.shape}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, build_protocol_circuit, system_to_wires
+from .circuit import CONTROLLED, Circuit, Gate, build_protocol_circuit, system_to_wires
 from .qops import as_matrix
 from .spinmap import PauliCoefficients, reconstruct
 
@@ -32,35 +32,27 @@ class StateVector:
             amps = np.asarray(amps, dtype=complex).reshape(1 << n_qubits).copy()
         self.amps = amps
 
-    @classmethod
-    def plus_state(cls, n_qubits: int) -> "StateVector":
-        dim = 1 << n_qubits
-        return cls(n_qubits, np.full(dim, 1.0 / math.sqrt(dim), dtype=complex))
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
     def apply(self, gate: Gate) -> None:
-        n = self.n_qubits
-        psi = self.amps.reshape((2,) * n)
-        if gate.kind == "ZZ":
-            qa, qb = gate.qubits
-            lo, hi = np.exp(-0.5j * gate.params[0]), np.exp(0.5j * gate.params[0])
-            phase = np.array([[lo, hi], [hi, lo]])
-            shape = [2 if ax in (qa, qb) else 1 for ax in range(n)]
-            psi *= phase.reshape(shape)
-        elif gate.kind == "CX":
-            ctrl, targ = gate.qubits
-            sub = np.moveaxis(psi, (ctrl, targ), (0, 1))
-            sub[1] = sub[1, ::-1].copy()  # overlapping views, must buffer
-        elif gate.kind == "GU":
-            ctrl, targ = gate.qubits
-            sub = np.moveaxis(psi, (ctrl, targ), (0, 1))[1]
-            sub[...] = np.tensordot(gate.local_matrix(), sub, axes=([1], [0]))
+        """Apply one gate in place, its matrix taken from Gate.local_matrix.
+
+        The 4x4 (ZZ) is diagonal and symmetric in its two qubits, so it
+        scales the state over their axes; every other matrix is a 2x2 on
+        the target axis, restricted to control = 1 for controlled kinds.
+        """
+        psi = self.amps.reshape((2,) * self.n_qubits)
+        m = gate.local_matrix()
+        if m.shape == (4, 4):
+            shape = [2 if ax in gate.qubits else 1 for ax in range(self.n_qubits)]
+            psi *= m.diagonal().reshape(shape)
+            return
+        if gate.kind in CONTROLLED:
+            sub = np.moveaxis(psi, gate.qubits, (0, 1))[1]
         else:
-            (targ,) = gate.qubits
-            sub = np.moveaxis(psi, targ, 0)
-            sub[...] = np.tensordot(gate.local_matrix(), sub, axes=([1], [0]))
+            sub = np.moveaxis(psi, gate.qubits[0], 0)
+        sub[...] = (m @ sub.reshape(2, -1)).reshape(sub.shape)
 
     def probability(self, qubit: int, value: int) -> float:
         psi = np.moveaxis(self.amps.reshape((2,) * self.n_qubits), qubit, 0)

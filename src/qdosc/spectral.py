@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .qops import freeze_arrays
 from .simulator import MeasurementConfig, probe_expectation
 from .spinmap import PauliCoefficients
 
@@ -45,11 +46,9 @@ class TimeSeries:
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"sample spacing must be finite and positive, "
                              f"got {self.dt}")
-        s = np.asarray(self.samples, dtype=float)
-        if not np.isfinite(s).all():
+        freeze_arrays(self, "samples")
+        if not np.isfinite(self.samples).all():
             raise ValueError("time series holds non-finite samples")
-        s.setflags(write=False)
-        object.__setattr__(self, "samples", s)
 
     def times(self) -> np.ndarray:
         return self.dt * np.arange(len(self.samples))
@@ -64,10 +63,7 @@ class Spectrum:
     values: np.ndarray
 
     def __post_init__(self):
-        for name in ("frequencies", "values"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze_arrays(self, "frequencies", "values")
 
     @property
     def bin_width(self) -> float:
@@ -87,10 +83,7 @@ class EnergyLevels:
     bin_width: float
 
     def __post_init__(self):
-        for name in ("levels", "heights"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze_arrays(self, "levels", "heights")
 
 
 @dataclass(frozen=True)
@@ -99,9 +92,7 @@ class LevelMatch:
     max_error: float
 
     def __post_init__(self):
-        arr = np.asarray(self.abs_errors, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "abs_errors", arr)
+        freeze_arrays(self, "abs_errors")
 
 
 def _write_csv(path, header: str, *columns) -> None:

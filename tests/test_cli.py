@@ -180,9 +180,19 @@ def test_empty_output_dir_exits_cleanly(tmp_path, monkeypatch, capsys):
     assert main(args + ["--config", str(cfg_path)]) == 2
     monkeypatch.setenv("QDOSC_OUT", "")
     assert main(args + ["--out", str(tmp_path / "flag")]) == 2
-    assert capsys.readouterr().err.count("output directory must not be empty") == 3
+    monkeypatch.delenv("QDOSC_OUT")
+    # a regular file where the directory, or one of its parents, should be
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    assert main(args + ["--out", str(afile)]) == 2
+    assert main(["spectrum", "--q", "1.0", "--samples", "16",
+                 "--out", str(afile / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("output directory must not be empty") == 3
+    assert err.count("error:") == 5
     assert not any(work.iterdir())
     assert not (tmp_path / "flag").exists()
+    assert afile.read_text() == "x"
 
 
 def test_manifest_records_the_directory_written(tmp_path, monkeypatch):

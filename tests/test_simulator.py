@@ -1,5 +1,6 @@
 """Statevector engine vs the dense embedding, and the evolution oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,12 +12,15 @@ from qdosc import (Circuit, MeasurementConfig, ModelParams, StateVector,
                    run_circuit, sample_series, total_hamiltonian)
 
 
+#: (kind, parameter count, arity) for every gate kind
+KINDS = [("H", 0, 1), ("RZ", 1, 1), ("RY", 1, 1), ("U", 3, 1),
+         ("ZZ", 1, 2), ("CX", 0, 2), ("GU", 4, 2)]
+
+
 def random_circuit(rng, n_gates=12, n_qubits=3) -> Circuit:
-    kinds = [("H", 0, 1), ("RZ", 1, 1), ("RY", 1, 1), ("U", 3, 1),
-             ("ZZ", 1, 2), ("CX", 0, 2), ("GU", 4, 2)]
     circ = Circuit(n_qubits)
     for _ in range(n_gates):
-        kind, nparams, arity = kinds[rng.integers(len(kinds))]
+        kind, nparams, arity = KINDS[rng.integers(len(KINDS))]
         qubits = tuple(rng.choice(n_qubits, size=arity, replace=False))
         circ.add(kind, tuple(rng.uniform(-math.pi, math.pi, size=nparams)),
                  qubits)
@@ -33,15 +37,9 @@ def test_default_state_is_ground():
     assert sv.amps[0] == 1.0 and np.all(sv.amps[1:] == 0.0)
 
 
-def test_plus_state():
-    sv = StateVector.plus_state(3)
-    np.testing.assert_allclose(sv.amps, np.full(8, 1.0 / math.sqrt(8.0)),
-                               atol=1e-15)
-    assert sv.norm() == pytest.approx(1.0)
-
-
 def test_engine_matches_dense_embedding():
-    """Every gate kind applied in place must equal the dense unitary route."""
+    """Random sequences of every gate kind, applied in place, must equal
+    the dense unitary route."""
     rng = np.random.default_rng(99)
     for _ in range(10):
         circ = random_circuit(rng)
@@ -49,6 +47,24 @@ def test_engine_matches_dense_embedding():
         out = run_circuit(circ, StateVector(3, psi0))
         np.testing.assert_allclose(out.amps, circuit_unitary(circ) @ psi0,
                                    atol=1e-12)
+
+
+@pytest.mark.parametrize("kind,nparams,qubits", [
+    pytest.param(kind, nparams, qubits, id=f"{kind}-{''.join(map(str, qubits))}")
+    for kind, nparams, arity in KINDS
+    for qubits in itertools.permutations(range(3), arity)])
+def test_every_gate_matches_dense_embedding(kind, nparams, qubits):
+    """Each kind on each ordered qubit tuple, reversed pairs included."""
+    rng = np.random.default_rng(101)
+    circ = Circuit(3).add(kind, tuple(rng.uniform(-math.pi, math.pi, size=nparams)),
+                          qubits)
+    psi0 = random_state(rng)
+    out = run_circuit(circ, StateVector(3, psi0)).amps
+    expected = circuit_unitary(circ) @ psi0
+    if kind == "CX":  # a permutation of the amplitudes, so exact
+        np.testing.assert_array_equal(out, expected)
+    else:
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 def test_engine_preserves_norm():
@@ -160,6 +176,15 @@ class TestShots:
         c = sample_series(d, dt=0.3, m=32,
                           cfg=MeasurementConfig(1024, seed=6))
         assert not np.array_equal(a.samples, c.samples)
+
+    def test_seeded_counts_are_pinned(self):
+        # q0 = 0 counts of a seeded run; refactors must keep these bytes
+        ts = sample_series(model_coefficients("ho", 1.3, gamma=0.5), m=32,
+                           cfg=MeasurementConfig(64, seed=3))
+        counts = (ts.samples * 64 + 64) / 2
+        np.testing.assert_array_equal(counts, [
+            64, 41, 30, 37, 25, 39, 19, 23, 52, 32, 29, 18, 5, 28, 15, 14,
+            35, 28, 36, 21, 9, 42, 28, 30, 41, 37, 58, 33, 24, 48, 31, 38])
 
     def test_values_are_quantized(self):
         d = coeffs_h0(1.0)
