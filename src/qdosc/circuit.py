@@ -28,6 +28,7 @@ Gate matrix conventions (bit 0 first):
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -50,11 +51,18 @@ def system_to_wires(m: np.ndarray) -> np.ndarray:
     return np.asarray(m)[np.ix_(p, p)]
 
 
-def u_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
+#: parameterless gate matrices; local_matrix hands out copies
+H_MATRIX = np.array([[1, 1], [1, -1]]) / np.sqrt(2) + 0j
+X_MATRIX = np.array([[0, 1], [1, 0]]) + 0j
+
+
+def u_matrix(theta: float, phi: float, lam: float, chi: float = 0.0) -> np.ndarray:
+    """Phased standard gate e^{i chi} U(theta, phi, lam)."""
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    g = cmath.exp(1j * chi)
     return np.array([
-        [c, -np.exp(1j * lam) * s],
-        [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
+        [g * c, g * (-cmath.exp(1j * lam) * s)],
+        [g * (cmath.exp(1j * phi) * s), g * (cmath.exp(1j * (phi + lam)) * c)],
     ])
 
 
@@ -87,21 +95,18 @@ class Gate:
         kinds this is the 2x2 applied to the target when the control is 1."""
         k, p = self.kind, self.params
         if k == "H":
-            return np.array([[1, 1], [1, -1]]) / np.sqrt(2) + 0j
+            return H_MATRIX.copy()
         if k == "RZ":
-            return np.diag([np.exp(-0.5j * p[0]), np.exp(0.5j * p[0])])
+            return np.array([[cmath.exp(-0.5j * p[0]), 0], [0, cmath.exp(0.5j * p[0])]])
         if k == "RY":
             c, s = math.cos(p[0] / 2.0), math.sin(p[0] / 2.0)
-            return np.array([[c, -s], [s, c]]) + 0j
+            return np.array([[c, -s], [s, c]], dtype=complex)
         if k == "ZZ":
-            lo, hi = np.exp(-0.5j * p[0]), np.exp(0.5j * p[0])
+            lo, hi = cmath.exp(-0.5j * p[0]), cmath.exp(0.5j * p[0])
             return np.diag([lo, hi, hi, lo])
         if k == "CX":
-            return np.array([[0, 1], [1, 0]]) + 0j
-        if k == "U":
-            return u_matrix(*p)
-        # GU
-        return np.exp(1j * p[3]) * u_matrix(p[0], p[1], p[2])
+            return X_MATRIX.copy()
+        return u_matrix(*p)  # U, or GU with its phase chi
 
 
 @dataclass

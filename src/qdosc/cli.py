@@ -28,6 +28,8 @@ OUTDIR_ENV = "QDOSC_OUT"
 # level weight seen across the supported parameter ranges (~13% of max)
 PIPELINE_WINDOW = "hann"
 PIPELINE_PROMINENCE = 0.05
+#: longest --q-grid; each point is a full probe series
+MAX_Q_POINTS = 10_000
 #: config-file value parsers, keyed by field type without its "| None"
 _PARSERS = {"str": str, "int": int, "float": float,
             "tuple[float, ...]": lambda v: tuple(float(x) for x in v.split(","))}
@@ -57,6 +59,15 @@ class ExperimentConfig:
         if not all(math.isfinite(c) and c >= 0 for c in (self.gamma, self.delta)):
             raise ValueError(f"gamma and delta must be finite and non-negative, "
                              f"got {self.gamma}, {self.delta}")
+        for q in self.q_grid:
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    d = model_coefficients(self.model, q, self.gamma, self.delta)
+                finite = bool(np.isfinite(d.as_array()).all())
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError(f"q={q}: the {self.model} coefficients overflow")
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if self.samples is not None:
@@ -261,8 +272,10 @@ def cmd_verify() -> int:
 
 def _parse_q_grid(text: str) -> tuple[float, ...]:
     start, stop, step = (float(x) for x in text.split(":"))
-    if not (step > 0 and start <= stop):
-        raise ValueError("q grid needs start <= stop and a positive step")
+    # the length is checked before np.arange allocates it
+    if not (step > 0 and 0 <= (stop - start) / step <= MAX_Q_POINTS - 1):
+        raise ValueError(f"q grid needs start <= stop, a positive step and at most "
+                         f"{MAX_Q_POINTS} points")
     return tuple(np.round(np.arange(start, stop + step / 2.0, step), 12))
 
 

@@ -3,13 +3,16 @@
 Amplitudes are stored with qubit 0 as the most significant bit, matching
 the index embedding in the circuit module.  Gates are applied one at a
 time directly to the state (cost O(2^n) per gate); the full unitary is
-never materialized here.  All functions are pure apart from the explicit
-in-place methods on StateVector, so independent runs can proceed
-concurrently.
+never materialized here.  Every gate kind follows one rule: gather the
+amplitudes into rows by the values of the gate's qubits (wire_index), and
+multiply those rows by the gate's local matrix.  All functions are pure
+apart from the explicit in-place methods on StateVector, so independent
+runs can proceed concurrently; the cached index arrays are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +21,24 @@ import numpy as np
 from .circuit import CONTROLLED, Circuit, Gate, build_protocol_circuit, system_to_wires
 from .qops import as_matrix
 from .spinmap import PauliCoefficients, reconstruct
+
+
+@functools.lru_cache
+def wire_index(qubits: tuple[int, ...], controlled: bool, n: int) -> np.ndarray:
+    """Flat amplitude indices of an n-qubit register, grouped by `qubits`.
+
+    Row r holds the indices whose bits on `qubits` read r, the first qubit
+    most significant; column c runs over the values of the other wires in
+    ascending order.  For a controlled gate only the control = 1 rows are
+    kept, so the two rows are the target's 0 and 1.  The array is read-only
+    because the cache hands the same one to every caller.
+    """
+    k = len(qubits)
+    flat = np.arange(1 << n, dtype=np.intp).reshape((2,) * n)
+    idx = np.moveaxis(flat, qubits, range(k)).reshape(1 << k, -1)
+    idx = np.array(idx[2:] if controlled else idx)
+    idx.setflags(write=False)
+    return idx
 
 
 class StateVector:
@@ -32,31 +53,15 @@ class StateVector:
             amps = np.asarray(amps, dtype=complex).reshape(1 << n_qubits).copy()
         self.amps = amps
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def apply(self, gate: Gate) -> None:
-        """Apply one gate in place, its matrix taken from Gate.local_matrix.
-
-        The 4x4 (ZZ) is diagonal and symmetric in its two qubits, so it
-        scales the state over their axes; every other matrix is a 2x2 on
-        the target axis, restricted to control = 1 for controlled kinds.
-        """
-        psi = self.amps.reshape((2,) * self.n_qubits)
-        m = gate.local_matrix()
-        if m.shape == (4, 4):
-            shape = [2 if ax in gate.qubits else 1 for ax in range(self.n_qubits)]
-            psi *= m.diagonal().reshape(shape)
-            return
-        if gate.kind in CONTROLLED:
-            sub = np.moveaxis(psi, gate.qubits, (0, 1))[1]
-        else:
-            sub = np.moveaxis(psi, gate.qubits[0], 0)
-        sub[...] = (m @ sub.reshape(2, -1)).reshape(sub.shape)
+        """Apply one gate in place: its local matrix (Gate.local_matrix)
+        times the amplitude rows of its qubits (wire_index)."""
+        idx = wire_index(gate.qubits, gate.kind in CONTROLLED, self.n_qubits)
+        self.amps[idx] = gate.local_matrix() @ self.amps[idx]
 
     def probability(self, qubit: int, value: int) -> float:
-        psi = np.moveaxis(self.amps.reshape((2,) * self.n_qubits), qubit, 0)
-        return float(np.sum(np.abs(psi[value]) ** 2))
+        rows = wire_index((qubit,), False, self.n_qubits)
+        return float(np.sum(np.abs(self.amps[rows[value]]) ** 2))
 
     def expect_z(self, qubit: int) -> float:
         return self.probability(qubit, 0) - self.probability(qubit, 1)
@@ -80,8 +85,9 @@ class MeasurementConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.shots is not None and self.shots <= 0:
-            raise ValueError(f"shot count must be positive, got {self.shots}")
+        # the binomial draw takes the count as a C int64
+        if self.shots is not None and not 0 < self.shots <= np.iinfo(np.int64).max:
+            raise ValueError(f"shot count must be between 1 and 2**63 - 1, got {self.shots}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 

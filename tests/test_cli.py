@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qdosc import Spectrum, __version__, detect_levels, spectrum_hho_paper
-from qdosc.cli import ExperimentConfig, _parse_q_grid, main
+from qdosc.cli import MAX_Q_POINTS, ExperimentConfig, _parse_q_grid, main
 
 
 def load_rows(path):
@@ -119,6 +119,8 @@ class TestConfig:
             ExperimentConfig(shots=0)
         with pytest.raises(ValueError):
             ExperimentConfig(q_grid=())
+        with pytest.raises(ValueError):  # X4 entries overflow to nan
+            ExperimentConfig(model="ao", q_grid=(1e50,), delta=0.3)
 
 
 def test_q_grid_parsing():
@@ -128,6 +130,10 @@ def test_q_grid_parsing():
         _parse_q_grid("1.0:2.0:-0.5")
     with pytest.raises(ValueError):
         _parse_q_grid("1.2:0.8:0.1")
+    assert len(_parse_q_grid(f"0:{MAX_Q_POINTS - 1}:1")) == MAX_Q_POINTS
+    for text in (f"0:{MAX_Q_POINTS}:1", "1:2:0", "1:inf:0.1", "-inf:1:0.1"):
+        with pytest.raises(ValueError):
+            _parse_q_grid(text)
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -234,7 +240,11 @@ def test_malformed_grid_flag_exits_cleanly(tmp_path, capsys):
              ["spectrum", "--samples", "100"],
              ["spectrum", "--samples", "0"],
              ["spectrum", "--dt", "-1"],
-             ["timeseries", "--t-max", "0"]]
+             ["timeseries", "--t-max", "0"],
+             # values the generator, the coefficients or the grid cannot hold
+             ["spectrum", "--samples", "16", "--shots", "100000000000000000000"],
+             ["spectrum", "--model", "ho", "--q", "1e200", "--samples", "16"],
+             ["spectrum", "--q-grid", "0.5:2.0:1e-12"]]
     for i, argv in enumerate(cases):
         out = tmp_path / str(i)
         assert main(argv + ["--out", str(out)]) == 2, argv

@@ -10,6 +10,7 @@ from qdosc import (Circuit, MeasurementConfig, ModelParams, StateVector,
                    build_hamiltonian, circuit_unitary, coeffs_h0, evolve_exact,
                    model_coefficients, probe_expectation, reconstruct,
                    run_circuit, sample_series, total_hamiltonian)
+from qdosc.simulator import wire_index
 
 
 #: (kind, parameter count, arity) for every gate kind
@@ -49,17 +50,20 @@ def test_engine_matches_dense_embedding():
                                    atol=1e-12)
 
 
-@pytest.mark.parametrize("kind,nparams,qubits", [
-    pytest.param(kind, nparams, qubits, id=f"{kind}-{''.join(map(str, qubits))}")
+@pytest.mark.parametrize("kind,nparams,qubits,n", [
+    pytest.param(kind, nparams, qubits, n,
+                 id=f"{kind}-{''.join(map(str, qubits))}" + ("" if n == 3 else f"-n{n}"))
+    for n in (1, 2, 3, 4)
     for kind, nparams, arity in KINDS
-    for qubits in itertools.permutations(range(3), arity)])
-def test_every_gate_matches_dense_embedding(kind, nparams, qubits):
-    """Each kind on each ordered qubit tuple, reversed pairs included."""
+    for qubits in itertools.permutations(range(n), arity)])
+def test_every_gate_matches_dense_embedding(kind, nparams, qubits, n):
+    """Each kind on each ordered qubit tuple, reversed pairs included, on
+    registers of 1 to 4 wires (ids without -n are the 3-wire register)."""
     rng = np.random.default_rng(101)
-    circ = Circuit(3).add(kind, tuple(rng.uniform(-math.pi, math.pi, size=nparams)),
+    circ = Circuit(n).add(kind, tuple(rng.uniform(-math.pi, math.pi, size=nparams)),
                           qubits)
-    psi0 = random_state(rng)
-    out = run_circuit(circ, StateVector(3, psi0)).amps
+    psi0 = random_state(rng, n)
+    out = run_circuit(circ, StateVector(n, psi0)).amps
     expected = circuit_unitary(circ) @ psi0
     if kind == "CX":  # a permutation of the amplitudes, so exact
         np.testing.assert_array_equal(out, expected)
@@ -71,7 +75,36 @@ def test_engine_preserves_norm():
     rng = np.random.default_rng(100)
     for _ in range(5):
         out = run_circuit(random_circuit(rng), StateVector(3, random_state(rng)))
-        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(out.amps) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_readout_matches_dense_state(n):
+    """probability and expect_z against sums over the flat amplitudes,
+    qubit 0 being the most significant bit."""
+    rng = np.random.default_rng(102)
+    psi = random_state(rng, n)
+    sv = StateVector(n, psi)
+    bits = np.arange(1 << n)
+    for qubit in range(n):
+        one = (bits >> (n - 1 - qubit)) & 1 == 1
+        p1 = float(np.sum(np.abs(psi[one]) ** 2))
+        assert sv.probability(qubit, 1) == pytest.approx(p1, abs=1e-14)
+        assert sv.probability(qubit, 0) == pytest.approx(1.0 - p1, abs=1e-14)
+        assert sv.expect_z(qubit) == pytest.approx(1.0 - 2.0 * p1, abs=1e-14)
+
+
+def test_wire_index_layout_and_read_only():
+    # control q2, target q0 on 3 wires: rows are q0 = 0, 1 with q2 = 1
+    idx = wire_index((2, 0), True, 3)
+    np.testing.assert_array_equal(idx, [[1, 3], [5, 7]])
+    np.testing.assert_array_equal(wire_index((1,), False, 3), [[0, 1, 4, 5],
+                                                               [2, 3, 6, 7]])
+    # every later gate on these wires shares this array, so a write must fail
+    assert wire_index((2, 0), True, 3) is idx
+    with pytest.raises(ValueError):
+        idx[0, 0] = 0
+    assert idx[0, 0] == 1
 
 
 def test_qubit_count_mismatch():
@@ -165,6 +198,9 @@ class TestShots:
             MeasurementConfig(0)
         with pytest.raises(ValueError):
             MeasurementConfig(16, seed=-1)
+        with pytest.raises(ValueError):  # beyond the generator's int64
+            MeasurementConfig(2**63)
+        assert MeasurementConfig(2**63 - 1).shots == 2**63 - 1
         assert MeasurementConfig().shots is None
 
     def test_seed_reproducibility(self):
