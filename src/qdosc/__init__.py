@@ -10,33 +10,30 @@ __version__ = "0.1.0"
 
 from .analytic import (NotBlockStructured, ReferenceSpectrum, exact_diag,
                        spectrum_h0, spectrum_hho_paper)
-from .circuit import (Circuit, Gate, ProtocolAngles, build_evolution_block,
-                      build_protocol_circuit, circuit_unitary,
-                      phase_aligned_distance, protocol_angles, system_to_wires)
-from .qops import (DeformationParams, ModelParams, TruncatedOperator,
-                   build_hamiltonian, build_ladder, build_padded_power, q_number)
+from .circuit import (Circuit, Gate, build_evolution_block, build_protocol_circuit,
+                      circuit_unitary, phase_aligned_distance, system_to_wires)
+from .qops import (ModelParams, TruncatedOperator, build_hamiltonian, build_ladder,
+                   build_padded_power, q_number)
 from .simulator import (MeasurementConfig, StateVector, evolution_target,
                         evolve_exact, probe_expectation, run_circuit,
                         total_hamiltonian)
-from .spectral import (EnergyLevels, InsufficientPeaks, LevelMatch,
-                       NyquistViolation, Spectrum, TimeSeries, default_dt,
-                       detect_levels, dft_real, energy_scale_estimate,
-                       match_levels, sample_series)
+from .spectral import (EnergyLevels, InsufficientPeaks, NyquistViolation, Spectrum,
+                       TimeSeries, default_dt, detect_levels, dft_real,
+                       energy_scale_estimate, match_levels, sample_series)
 from .spinmap import (NotInSpinFamily, PauliCoefficients, coeffs_h0, coeffs_hao,
                       coeffs_hho, model_coefficients, pauli_decompose, reconstruct)
 
 __all__ = [
     "__version__",
-    "q_number", "DeformationParams", "ModelParams", "TruncatedOperator",
+    "q_number", "ModelParams", "TruncatedOperator",
     "build_ladder", "build_padded_power", "build_hamiltonian",
     "PauliCoefficients", "pauli_decompose", "reconstruct", "coeffs_h0",
     "coeffs_hho", "coeffs_hao", "model_coefficients", "NotInSpinFamily",
-    "Gate", "Circuit", "ProtocolAngles", "protocol_angles",
-    "build_evolution_block", "build_protocol_circuit", "circuit_unitary",
-    "system_to_wires", "phase_aligned_distance",
+    "Gate", "Circuit", "build_evolution_block", "build_protocol_circuit",
+    "circuit_unitary", "system_to_wires", "phase_aligned_distance",
     "StateVector", "MeasurementConfig", "run_circuit", "probe_expectation",
     "evolve_exact", "evolution_target", "total_hamiltonian",
-    "TimeSeries", "Spectrum", "EnergyLevels", "LevelMatch", "sample_series",
+    "TimeSeries", "Spectrum", "EnergyLevels", "sample_series",
     "dft_real", "detect_levels", "match_levels", "default_dt",
     "energy_scale_estimate", "NyquistViolation", "InsufficientPeaks",
     "ReferenceSpectrum", "spectrum_h0", "spectrum_hho_paper", "exact_diag",

@@ -15,6 +15,8 @@ into phase gates plus controlled single-qubit rotations.  The rotation for
 each s1 branch is written as a phased standard gate e^{i chi} U(theta, phi,
 lambda); conjugated parameter sets (theta, -phi, -lambda, -chi) give the
 inverse branch because phi = lambda + pi makes the matrix symmetric.
+_branch_angles solves one branch in closed form; a branch with zero
+rotation rate compiles to no gate.
 
 Gate matrix conventions (bit 0 first):
 
@@ -124,68 +126,12 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def to_text(self) -> str:
-        """Line-oriented serialization: one gate per line,
 
-            KIND(p1,p2,...) q...
+def _branch_angles(a: float, b: float, t: float) -> tuple[float, float, float, float] | None:
+    """GU parameters (theta, phi, lam, chi) of one branch, or None when
+    j = hypot(a, b) is zero and the branch evolves trivially.
 
-        parameters in full double precision (repr), qubits space-separated,
-        control first for controlled kinds.  Parameterless kinds omit the
-        parentheses.
-        """
-        lines = [f"qubits {self.n_qubits}"]
-        for g in self.gates:
-            head = g.kind
-            if g.params:
-                head += "(" + ",".join(repr(p) for p in g.params) + ")"
-            lines.append(head + " " + " ".join(str(qb) for qb in g.qubits))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Circuit":
-        lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-        if not lines or not lines[0].startswith("qubits "):
-            raise ValueError("first line must declare 'qubits N'")
-        circ = cls(n_qubits=int(lines[0].split()[1]))
-        for ln in lines[1:]:
-            head, *qubits = ln.split()
-            if "(" in head:
-                kind, rest = head.split("(", 1)
-                params = tuple(float(x) for x in rest.rstrip(")").split(","))
-            else:
-                kind, params = head, ()
-            circ.add(kind, params, tuple(int(qb) for qb in qubits))
-        return circ
-
-
-@dataclass(frozen=True)
-class ProtocolAngles:
-    """All compiled angles for one (coefficients, t) pair.
-
-    The two conditioned branches are labeled _p (s1 = +1, q1 bit 0) and
-    _m (s1 = -1, q1 bit 1).  j_* is the branch rotation rate; a branch with
-    j_* = 0 evolves trivially and compiles to no gate, in which case its
-    angle fields are zeros by convention.
-    """
-
-    phi1: float
-    phi2: float
-    j_p: float
-    j_m: float
-    theta_p: float
-    theta_m: float
-    lam_p: float
-    lam_m: float
-    phi_p: float
-    phi_m: float
-    chi_p: float
-    chi_m: float
-
-
-def _branch_angles(a: float, b: float, t: float) -> tuple[float, ...]:
-    """Angles (j, theta, lam, phi, chi) for one branch.
-
-    With j = hypot(a, b), alpha = a/j and beta = b/j, solves
+    With alpha = a/j and beta = b/j, solves
     e^{i chi} U(theta, phi, lam) = exp(-i jt (alpha Z + beta X)) exactly:
 
         theta = 2 asin(beta sin(jt))
@@ -198,25 +144,20 @@ def _branch_angles(a: float, b: float, t: float) -> tuple[float, ...]:
     """
     j = math.hypot(a, b)
     if j == 0.0:
-        return (0.0,) * 5
+        return None
     alpha, beta = a / j, b / j
     jt = j * t
     sin_jt, cos_jt = math.sin(jt), math.cos(jt)
     theta = 2.0 * math.asin(max(-1.0, min(1.0, beta * sin_jt)))
     half_c = math.cos(theta / 2.0)
     lam = 0.0 if half_c < 1e-12 else math.atan2(cos_jt, -alpha * sin_jt)
-    return (j, theta, lam, lam + math.pi, math.pi / 2.0 - lam)
+    return (theta, lam + math.pi, lam, math.pi / 2.0 - lam)
 
 
-def protocol_angles(d: PauliCoefficients, t: float) -> ProtocolAngles:
-    """Compute every gate angle of the evolution block for time t."""
-    jp, thp, lap, php, chp = _branch_angles(d.d3 + d.d4, d.d5 + d.d6, t)
-    jm, thm, lam, phm, chm = _branch_angles(d.d3 - d.d4, d.d5 - d.d6, t)
-    return ProtocolAngles(
-        phi1=2.0 * d.d1 * t, phi2=2.0 * d.d2 * t, j_p=jp, j_m=jm,
-        theta_p=thp, theta_m=thm, lam_p=lap, lam_m=lam,
-        phi_p=php, phi_m=phm, chi_p=chp, chi_m=chm,
-    )
+def _inverse(p: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
+    """Conjugated GU parameters (theta, -phi, -lam, -chi): the inverse rotation."""
+    theta, phi, lam, chi = p
+    return (theta, -phi, -lam, -chi)
 
 
 def build_evolution_block(d: PauliCoefficients, t: float) -> Circuit:
@@ -225,25 +166,27 @@ def build_evolution_block(d: PauliCoefficients, t: float) -> Circuit:
 
     Gate order: probe phase, first-branch rotation, probe/spin-2 coupling
     phase, then the controlled ladder with a CX pair rerouting the controls
-    of the middle two rotations through q1.  A branch with j = 0 emits no
-    rotation gates.
+    of the middle two rotations through q1.  Each branch emits its GU
+    parameters or their negation (the inverse rotation); a branch with
+    j = 0 emits no rotation gates.
     """
-    ang = protocol_angles(d, t)
+    plus = _branch_angles(d.d3 + d.d4, d.d5 + d.d6, t)
+    minus = _branch_angles(d.d3 - d.d4, d.d5 - d.d6, t)
     circ = Circuit(3)
-    circ.add("RZ", (ang.phi1,), (0,))
-    if ang.j_p != 0.0:
-        circ.add("U", (ang.theta_p, ang.phi_p, ang.lam_p), (2,))
-    circ.add("ZZ", (ang.phi2,), (0, 1))
-    if ang.j_p != 0.0:
-        circ.add("GU", (ang.theta_p, -ang.phi_p, -ang.lam_p, -ang.chi_p), (0, 2))
+    circ.add("RZ", (2.0 * d.d1 * t,), (0,))
+    if plus:
+        circ.add("U", plus[:3], (2,))
+    circ.add("ZZ", (2.0 * d.d2 * t,), (0, 1))
+    if plus:
+        circ.add("GU", _inverse(plus), (0, 2))
     circ.add("CX", (), (0, 1))
-    if ang.j_p != 0.0:
-        circ.add("GU", (ang.theta_p, -ang.phi_p, -ang.lam_p, -ang.chi_p), (1, 2))
-    if ang.j_m != 0.0:
-        circ.add("GU", (ang.theta_m, ang.phi_m, ang.lam_m, ang.chi_m), (1, 2))
+    if plus:
+        circ.add("GU", _inverse(plus), (1, 2))
+    if minus:
+        circ.add("GU", minus, (1, 2))
     circ.add("CX", (), (0, 1))
-    if ang.j_m != 0.0:
-        circ.add("GU", (ang.theta_m, -ang.phi_m, -ang.lam_m, -ang.chi_m), (0, 2))
+    if minus:
+        circ.add("GU", _inverse(minus), (0, 2))
     return circ
 
 

@@ -37,7 +37,7 @@ _PARSERS = {"str": str, "int": int, "float": float,
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved run parameters; round-trips losslessly through key=value text."""
+    """Resolved run parameters, read from flags or key = value text."""
 
     model: str = "h0"
     q_grid: tuple[float, ...] = (1.0,)
@@ -83,16 +83,6 @@ class ExperimentConfig:
         if self.samples is not None:
             return self.samples
         return default_samples(self.measurement())
-
-    def to_text(self) -> str:
-        lines = []
-        for key, val in asdict(self).items():
-            if val is None:
-                continue
-            if key == "q_grid":
-                val = ",".join(repr(q) for q in val)
-            lines.append(f"{key} = {val}")
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
@@ -161,7 +151,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
             print(f"error: q={q}: {exc}", file=sys.stderr)
             return 1
         ref = _reference_levels(cfg, q)
-        errs = match_levels(levels, ref).abs_errors
+        errs = match_levels(levels, ref)
         row = [q, *levels.levels, *ref, *errs]
         if cfg.model == "ho":
             row += list(spectrum_hho_paper(q, cfg.gamma).levels)
@@ -243,7 +233,7 @@ def _verify_suites() -> list[tuple[str, int, float, float]]:
         ts, levels = _detect_for_q(cfg, q)
         ref = _reference_levels(cfg, q)
         halfbin = np.pi / (len(ts.samples) * ts.dt)
-        dev = max(dev, match_levels(levels, ref).max_error / halfbin)
+        dev = max(dev, match_levels(levels, ref).max() / halfbin)
         n += 1
     suites.append(("detected-vs-diagonalization (half-bin units)", n, dev, 1.0))
     return suites

@@ -43,33 +43,9 @@ def q_number(n: int, q: float) -> float:
 
 
 @dataclass(frozen=True)
-class DeformationParams:
-    """Deformation parameter q with its bounded companion alpha = (q-1)/(q+1)."""
-
-    q: float
-
-    def __post_init__(self):
-        if self.q <= 0:
-            raise ValueError(f"q must be positive, got {self.q}")
-
-    @property
-    def alpha(self) -> float:
-        return (self.q - 1.0) / (self.q + 1.0)
-
-    @classmethod
-    def from_alpha(cls, alpha: float) -> "DeformationParams":
-        if not -1.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie in (-1, 1), got {alpha}")
-        return cls(q=(1.0 + alpha) / (1.0 - alpha))
-
-
-@dataclass(frozen=True)
 class ModelParams:
-    """Perturbation strengths for the quadratic (gamma) and quartic (delta) terms.
-
-    Units are hbar = m = omega = 1 throughout, so the dimensionless quadratic
-    coupling is gamma_tilde = gamma / 2.
-    """
+    """Perturbation strengths for the quadratic (gamma) and quartic (delta)
+    terms, in units hbar = m = omega = 1."""
 
     gamma: float = 0.0
     delta: float = 0.0
@@ -77,10 +53,6 @@ class ModelParams:
     def __post_init__(self):
         if self.gamma < 0 or self.delta < 0:
             raise ValueError("perturbation strengths must be non-negative")
-
-    @property
-    def gamma_tilde(self) -> float:
-        return self.gamma / 2.0
 
 
 def freeze_arrays(obj, *names: str) -> None:
@@ -97,7 +69,10 @@ def freeze_arrays(obj, *names: str) -> None:
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """A Hermitian (here: real symmetric) operator on the truncated basis."""
+    """A square real matrix on the truncated basis, held as a read-only view.
+
+    The builders in this module return symmetric matrices; the tests check
+    that, nothing here does."""
 
     matrix: np.ndarray = field(repr=False)
 
@@ -106,13 +81,6 @@ class TruncatedOperator:
         m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {m.shape}")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        return bool(np.abs(self.matrix - self.matrix.T).max() <= tol)
 
 
 def as_matrix(op) -> np.ndarray:

@@ -24,6 +24,8 @@ from .spinmap import PauliCoefficients
 DEFAULT_SAMPLES_EXACT = 4096
 DEFAULT_SAMPLES_SHOTS = 8192
 DEFAULT_PROMINENCE = 0.2
+#: most samples in one series; each is a full circuit run
+MAX_SAMPLES = 1 << 20
 #: fraction of the one-sided bandwidth pi/dt that the default dt leaves to
 #: the estimated top frequency 2 * sum|d_i|
 NYQUIST_HEADROOM = 0.8
@@ -86,15 +88,6 @@ class EnergyLevels:
         freeze_arrays(self, "levels", "heights")
 
 
-@dataclass(frozen=True)
-class LevelMatch:
-    abs_errors: np.ndarray
-    max_error: float
-
-    def __post_init__(self):
-        freeze_arrays(self, "abs_errors")
-
-
 def _write_csv(path, header: str, *columns) -> None:
     # repr keeps full double precision in a stable, round-trippable form
     with open(path, "w") as fh:
@@ -110,9 +103,11 @@ def default_samples(cfg: MeasurementConfig) -> int:
 
 
 def check_sample_count(m: int) -> None:
-    """The transform needs a power of two of at least 16 samples."""
-    if m < 16 or m & (m - 1):
-        raise ValueError(f"sample count must be a power of two >= 16, got {m}")
+    """The transform needs a power of two of at least 16 samples, and a
+    series holds at most MAX_SAMPLES."""
+    if m < 16 or m & (m - 1) or m > MAX_SAMPLES:
+        raise ValueError(f"sample count must be a power of two from 16 to "
+                         f"{MAX_SAMPLES}, got {m}")
 
 
 def energy_scale_estimate(d: PauliCoefficients) -> float:
@@ -219,12 +214,14 @@ def detect_levels(spec: Spectrum, n_expected: int = 4,
                         bin_width=spec.bin_width)
 
 
-def match_levels(detected: EnergyLevels, reference) -> LevelMatch:
-    """Pair detected and reference levels in ascending order and report
-    absolute errors.  reference may be a ReferenceSpectrum or an array."""
+def match_levels(detected: EnergyLevels, reference) -> np.ndarray:
+    """Pair detected and reference levels in ascending order and return the
+    read-only array of absolute errors.  reference may be a
+    ReferenceSpectrum or an array."""
     ref = np.sort(np.asarray(getattr(reference, "levels", reference), dtype=float))
     det = detected.levels
     if len(det) != len(ref):
         raise ValueError(f"{len(det)} detected levels vs {len(ref)} reference")
     errs = np.abs(det - ref)
-    return LevelMatch(abs_errors=errs, max_error=float(errs.max()) if len(errs) else 0.0)
+    errs.setflags(write=False)
+    return errs

@@ -57,13 +57,6 @@ class PauliCoefficients:
     def as_array(self) -> np.ndarray:
         return np.array([self.d1, self.d2, self.d3, self.d4, self.d5, self.d6])
 
-    @classmethod
-    def from_array(cls, d) -> "PauliCoefficients":
-        d = np.asarray(d, dtype=float)
-        if d.shape != (6,):
-            raise ValueError(f"expected 6 coefficients, got shape {d.shape}")
-        return cls(*d)
-
 
 def reconstruct(coeffs: PauliCoefficients) -> np.ndarray:
     """Assemble the 4x4 matrix sum_i d_i P_i for the six-string basis."""
@@ -125,8 +118,8 @@ def coeffs_hho(q: float, gamma: float) -> PauliCoefficients:
     equals the h0 diagonal in these units; the quadrature coupling fills
     the two flip strings:
 
-        d5 = (gamma_tilde/8) [2]^(3/2) (1 + sqrt([3]))
-        d6 = (gamma_tilde/8) [2]^(3/2) (1 - sqrt([3]))
+        d5 = (gamma/16) [2]^(3/2) (1 + sqrt([3]))
+        d6 = (gamma/16) [2]^(3/2) (1 - sqrt([3]))
     """
     gt = gamma / 2.0
     base = coeffs_h0(q).as_array()

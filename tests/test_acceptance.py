@@ -57,7 +57,7 @@ def test_levels_match_closed_form_across_deformation():
     for q in Q_SIX:
         ts, lv = run_pipeline(coeffs_h0(q), m=2048)
         tol = math.pi / (len(ts.samples) * ts.dt)
-        err = match_levels(lv, spectrum_h0(q)).max_error
+        err = match_levels(lv, spectrum_h0(q)).max()
         assert err < tol, f"q={q}: {err:.2e} vs half-bin {tol:.2e}"
 
 
@@ -88,7 +88,7 @@ def test_quadratic_sweep_matches_diagonalization():
             ref = exact_diag(build_hamiltonian("ho", 4, q,
                                                ModelParams(gamma=gamma)))
             tol = math.pi / (len(ts.samples) * ts.dt)
-            err = match_levels(lv, ref).max_error
+            err = match_levels(lv, ref).max()
             assert err < tol, f"gamma={gamma} q={q}: {err:.2e} vs {tol:.2e}"
     for q in Q_SWEEP:
         ref = exact_diag(build_hamiltonian("ho", 4, q, ModelParams(gamma=0.1)))
@@ -107,7 +107,7 @@ def test_quartic_sweep_matches_diagonalization():
             ref = exact_diag(build_hamiltonian("ao", 4, q,
                                                ModelParams(delta=delta)))
             tol = math.pi / (len(ts.samples) * ts.dt)
-            err = match_levels(lv, ref).max_error
+            err = match_levels(lv, ref).max()
             assert err < tol, f"delta={delta} q={q}: {err:.2e} vs {tol:.2e}"
 
 

@@ -15,9 +15,8 @@ from scipy.linalg import expm
 from qdosc import (Circuit, Gate, ModelParams, PauliCoefficients,
                    build_evolution_block, build_hamiltonian,
                    build_protocol_circuit, circuit_unitary, model_coefficients,
-                   phase_aligned_distance, protocol_angles, reconstruct,
-                   system_to_wires)
-from qdosc.circuit import u_matrix
+                   phase_aligned_distance, reconstruct, system_to_wires)
+from qdosc.circuit import _branch_angles, u_matrix
 
 Z = np.diag([1.0, -1.0])
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -116,35 +115,30 @@ class TestBranchAngles:
         for _ in range(30):
             a, b = rng.normal(size=2)
             t = rng.uniform(0.05, 2.5)
-            d = PauliCoefficients(0.0, 0.0, a, 0.0, b, 0.0)
-            ang = protocol_angles(d, t)
-            got = np.exp(1j * ang.chi_p) * u_matrix(ang.theta_p, ang.phi_p,
-                                                    ang.lam_p)
+            got = u_matrix(*_branch_angles(a, b, t))
             np.testing.assert_allclose(got, expm(-1j * t * (a * Z + b * X)),
                                        atol=1e-12)
 
     def test_full_flip_branch(self):
         # pure X rotation by pi/2: cos(theta/2) = 0, lambda falls out
-        d = PauliCoefficients(0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
-        ang = protocol_angles(d, math.pi / 2.0)
-        got = np.exp(1j * ang.chi_p) * u_matrix(ang.theta_p, ang.phi_p, ang.lam_p)
-        np.testing.assert_allclose(got, -1j * X, atol=1e-12)
+        theta, phi, lam, chi = _branch_angles(0.0, 1.0, math.pi / 2.0)
+        assert lam == 0.0
+        np.testing.assert_allclose(u_matrix(theta, phi, lam, chi), -1j * X,
+                                   atol=1e-12)
 
     def test_conjugated_parameters_give_inverse(self):
         # phi = lam + pi makes U symmetric, so conjugating all four angles
         # inverts the branch matrix; this is what the drawn gate order relies on
         d = model_coefficients("ho", 1.3, gamma=0.7)
-        ang = protocol_angles(d, 0.9)
-        fwd = np.exp(1j * ang.chi_p) * u_matrix(ang.theta_p, ang.phi_p, ang.lam_p)
-        rev = np.exp(-1j * ang.chi_p) * u_matrix(ang.theta_p, -ang.phi_p,
-                                                 -ang.lam_p)
+        theta, phi, lam, chi = _branch_angles(d.d3 + d.d4, d.d5 + d.d6, 0.9)
+        fwd = u_matrix(theta, phi, lam, chi)
+        rev = u_matrix(theta, -phi, -lam, -chi)
         np.testing.assert_allclose(rev @ fwd, np.eye(2), atol=1e-12)
 
     def test_degenerate_branch_reports_zeros(self):
-        ang = protocol_angles(PauliCoefficients(1.0, -0.5, 0.0, 0.0, 0.0, 0.0),
-                              0.7)
-        assert ang.j_p == 0.0 and ang.j_m == 0.0
-        assert ang.theta_p == 0.0 and ang.chi_m == 0.0
+        # zero rotation rate: no parameters, so the branch emits no gate
+        assert _branch_angles(0.0, 0.0, 0.7) is None
+        assert len(_branch_angles(1e-300, 0.0, 0.7)) == 4  # any nonzero rate
 
 
 class TestEvolutionBlock:
@@ -186,19 +180,6 @@ class TestProtocolCircuit:
         assert last.kind == "RY" and last.qubits == (0,)
         assert last.params == (-math.pi / 2.0,)
         assert len(circ) == 13
-
-    def test_text_round_trip(self):
-        circ = build_protocol_circuit(model_coefficients("ho", 1.3, gamma=0.5),
-                                      0.7)
-        text = circ.to_text()
-        assert text.startswith("qubits 3\nH 0\n")
-        back = Circuit.from_text(text)
-        assert back.n_qubits == circ.n_qubits
-        assert back.gates == circ.gates  # params survive repr exactly
-
-    def test_from_text_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            Circuit.from_text("H 0\n")  # missing the register header
 
 
 def test_phase_alignment():

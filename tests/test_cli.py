@@ -90,14 +90,19 @@ def test_timeseries_shot_mode_is_reproducible(tmp_path):
 
 
 class TestConfig:
-    @pytest.mark.parametrize("cfg", [
-        ExperimentConfig(),
-        ExperimentConfig(model="ho", q_grid=(0.5, 1.0, 1.5), gamma=0.3,
-                         samples=512, out="runs"),
-        ExperimentConfig(model="ao", delta=0.5, dt=0.07, shots=2048, seed=11),
-    ])
-    def test_text_round_trip(self, cfg):
-        assert ExperimentConfig.from_text(cfg.to_text()) == cfg
+    @pytest.mark.parametrize("text,cfg", [
+        ("model = h0\nq_grid = 1.0\ngamma = 0.0\ndelta = 0.0\nseed = 0\nout = .\n",
+         ExperimentConfig()),
+        ("model = ho\nq_grid = 0.5,1.0,1.5\ngamma = 0.3\nsamples = 512\nout = runs\n",
+         ExperimentConfig(model="ho", q_grid=(0.5, 1.0, 1.5), gamma=0.3,
+                          samples=512, out="runs")),
+        ("model = ao\ndelta = 0.5\ndt = 0.07\nshots = 2048\nseed = 11\n",
+         ExperimentConfig(model="ao", delta=0.5, dt=0.07, shots=2048, seed=11)),
+    ], ids=["cfg0", "cfg1", "cfg2"])
+    def test_text_round_trip(self, text, cfg):
+        """Literal key = value text, one line per field type, parses to the
+        config the same values give as arguments."""
+        assert ExperimentConfig.from_text(text) == cfg
 
     def test_parser_tolerates_comments(self):
         cfg = ExperimentConfig.from_text(
@@ -244,7 +249,10 @@ def test_malformed_grid_flag_exits_cleanly(tmp_path, capsys):
              # values the generator, the coefficients or the grid cannot hold
              ["spectrum", "--samples", "16", "--shots", "100000000000000000000"],
              ["spectrum", "--model", "ho", "--q", "1e200", "--samples", "16"],
-             ["spectrum", "--q-grid", "0.5:2.0:1e-12"]]
+             ["spectrum", "--q-grid", "0.5:2.0:1e-12"],
+             # powers of two past the sample cap, 2^21 and 2^40
+             ["spectrum", "--samples", str(2**21)],
+             ["spectrum", "--samples", str(2**40)]]
     for i, argv in enumerate(cases):
         out = tmp_path / str(i)
         assert main(argv + ["--out", str(out)]) == 2, argv

@@ -17,6 +17,7 @@ from qdosc import (InsufficientPeaks, MeasurementConfig, NyquistViolation,
                    default_dt, detect_levels, dft_real, energy_scale_estimate,
                    match_levels, model_coefficients, sample_series,
                    spectrum_h0)
+from qdosc.spectral import MAX_SAMPLES, check_sample_count
 
 
 def make_series(freqs, m=512, dt=0.1, amps=None):
@@ -55,6 +56,13 @@ class TestSampleSeries:
     def test_rejects_bad_sample_counts(self, bad_m):
         with pytest.raises(ValueError):
             sample_series(coeffs_h0(1.0), dt=0.1, m=bad_m)
+
+    def test_sample_count_is_capped(self):
+        # 2^40 is a power of two but would mean 2^40 circuit runs
+        check_sample_count(MAX_SAMPLES)
+        for m in (2 * MAX_SAMPLES, 2**40):
+            with pytest.raises(ValueError, match="power of two"):
+                check_sample_count(m)
 
     def test_shot_series_is_seeded(self):
         cfg = MeasurementConfig(256, seed=9)
@@ -233,16 +241,19 @@ class TestMatchLevels:
         ts = sample_series(coeffs_h0(1.0), dt=0.05, m=1024)
         lv = detect_levels(dft_real(ts, window="hann"), n_expected=4,
                            min_prominence=0.05)
-        report = match_levels(lv, spectrum_h0(1.0))
-        assert report.max_error == pytest.approx(np.max(report.abs_errors))
-        assert report.max_error < math.pi / (1024 * 0.05)
+        errs = match_levels(lv, spectrum_h0(1.0))
+        np.testing.assert_array_equal(errs, np.abs(lv.levels - spectrum_h0(1.0).levels))
+        assert errs.max() < math.pi / (1024 * 0.05)
+        with pytest.raises(ValueError):
+            errs[0] = 0.0
 
     def test_accepts_plain_arrays(self):
         ts = sample_series(coeffs_h0(1.0), dt=0.05, m=1024)
         lv = detect_levels(dft_real(ts, window="hann"), n_expected=4,
                            min_prominence=0.05)
-        report = match_levels(lv, [0.5, 1.5, 2.5, 3.5])
-        assert report.max_error < math.pi / (1024 * 0.05)
+        errs = match_levels(lv, [3.5, 0.5, 2.5, 1.5])  # paired after sorting
+        assert errs.shape == (4,)
+        assert errs.max() < math.pi / (1024 * 0.05)
 
     def test_length_mismatch(self):
         ts = sample_series(coeffs_h0(1.0), dt=0.05, m=1024)
