@@ -8,8 +8,7 @@ closed-form references in analytic and a command line front end in cli.
 
 __version__ = "0.1.0"
 
-from .analytic import (NotBlockStructured, ReferenceSpectrum, exact_diag,
-                       spectrum_h0, spectrum_hho_paper)
+from .analytic import NotBlockStructured, exact_diag, spectrum_h0, spectrum_hho_paper
 from .circuit import (Circuit, Gate, build_evolution_block, build_protocol_circuit,
                       circuit_unitary, phase_aligned_distance, system_to_wires)
 from .qops import (ModelParams, TruncatedOperator, build_hamiltonian, build_ladder,
@@ -36,6 +35,5 @@ __all__ = [
     "TimeSeries", "Spectrum", "EnergyLevels", "sample_series",
     "dft_real", "detect_levels", "match_levels", "default_dt",
     "energy_scale_estimate", "NyquistViolation", "InsufficientPeaks",
-    "ReferenceSpectrum", "spectrum_h0", "spectrum_hho_paper", "exact_diag",
-    "NotBlockStructured",
+    "spectrum_h0", "spectrum_hho_paper", "exact_diag", "NotBlockStructured",
 ]

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .qops import as_matrix, build_hamiltonian, freeze_arrays
+from .qops import as_matrix, build_hamiltonian
 
 BLOCK_TOL = 1e-12
 
@@ -15,28 +13,16 @@ class NotBlockStructured(ValueError):
     """Raised when a matrix couples the even and odd level-pair blocks."""
 
 
-@dataclass(frozen=True)
-class ReferenceSpectrum:
-    """Reference levels with a tag naming the route that produced them."""
-
-    source: str
-    levels: np.ndarray
-
-    def __post_init__(self):
-        freeze_arrays(self, "levels")
-
-
-def spectrum_h0(q: float, dim: int = 4) -> ReferenceSpectrum:
+def spectrum_h0(q: float, dim: int = 4) -> np.ndarray:
     """Exact levels of the free deformed oscillator.
 
     The diagonal of the h0 Hamiltonian (see qops.build_hamiltonian),
     strictly increasing in n.
     """
-    lv = np.diag(build_hamiltonian("h0", dim, q).matrix)
-    return ReferenceSpectrum(source="h0_closed_form", levels=lv)
+    return np.diag(build_hamiltonian("h0", dim, q).matrix)
 
 
-def spectrum_hho_paper(q: float, gamma: float, dim: int = 4) -> ReferenceSpectrum:
+def spectrum_hho_paper(q: float, gamma: float, dim: int = 4) -> np.ndarray:
     """Frequency-shift reference for the quadratically perturbed oscillator.
 
     Absorbing the X2 term into the quadratic potential rescales the
@@ -46,9 +32,7 @@ def spectrum_hho_paper(q: float, gamma: float, dim: int = 4) -> ReferenceSpectru
     approximation, not the exact spectrum of the truncated matrix; use
     exact_diag for that.
     """
-    scale = np.sqrt(1.0 + gamma)
-    return ReferenceSpectrum(source="shifted_frequency",
-                             levels=scale * spectrum_h0(q, dim).levels)
+    return np.sqrt(1.0 + gamma) * spectrum_h0(q, dim)
 
 
 def _eig2(a: float, b: float, c: float) -> tuple[float, float]:
@@ -58,8 +42,8 @@ def _eig2(a: float, b: float, c: float) -> tuple[float, float]:
     return mid - rad, mid + rad
 
 
-def exact_diag(h) -> ReferenceSpectrum:
-    """Exact levels of a 4x4 Hamiltonian in the six-string family.
+def exact_diag(h) -> np.ndarray:
+    """Exact levels, ascending, of a 4x4 Hamiltonian in the six-string family.
 
     Such a matrix decouples into the level pairs {0, 2} and {1, 3}; each
     2x2 block is solved in closed form, avoiding any iterative eigensolver.
@@ -75,5 +59,4 @@ def exact_diag(h) -> ReferenceSpectrum:
             f"cross-block coupling {off:.3e} exceeds {BLOCK_TOL}")
     lo_even, hi_even = _eig2(m[0, 0], m[2, 2], m[0, 2])
     lo_odd, hi_odd = _eig2(m[1, 1], m[3, 3], m[1, 3])
-    lv = np.sort([lo_even, hi_even, lo_odd, hi_odd])
-    return ReferenceSpectrum(source="exact_diag", levels=lv)
+    return np.sort([lo_even, hi_even, lo_odd, hi_odd])

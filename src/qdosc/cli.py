@@ -17,8 +17,8 @@ from .circuit import build_evolution_block, circuit_unitary, phase_aligned_dista
 from .qops import MODELS, ModelParams, build_hamiltonian
 from .simulator import MeasurementConfig, evolution_target, evolve_exact, probe_expectation
 from .spectral import (InsufficientPeaks, _write_csv, check_sample_count,
-                       default_samples, detect_levels, dft_real, match_levels,
-                       sample_series)
+                       default_samples, detect_levels, dft_real,
+                       energy_scale_estimate, match_levels, sample_series)
 from .spinmap import PauliCoefficients, model_coefficients, pauli_decompose, reconstruct
 
 OUTDIR_ENV = "QDOSC_OUT"
@@ -63,11 +63,11 @@ class ExperimentConfig:
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     d = model_coefficients(self.model, q, self.gamma, self.delta)
-                finite = bool(np.isfinite(d.as_array()).all())
+                    finite = math.isfinite(2.0 * energy_scale_estimate(d))
             except OverflowError:
                 finite = False
             if not finite:
-                raise ValueError(f"q={q}: the {self.model} coefficients overflow")
+                raise ValueError(f"q={q}: {self.model} coefficients or their sum overflow")
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if self.samples is not None:
@@ -101,14 +101,6 @@ class ExperimentConfig:
         return cls(**values)
 
 
-def _reference_levels(cfg: ExperimentConfig, q: float) -> np.ndarray:
-    if cfg.model == "h0":
-        return spectrum_h0(q).levels
-    ham = build_hamiltonian(cfg.model, 4, q,
-                            ModelParams(gamma=cfg.gamma, delta=cfg.delta))
-    return exact_diag(ham).levels
-
-
 def _series_for_q(cfg: ExperimentConfig, q: float):
     """Probe series at q and its windowed spectrum."""
     d = model_coefficients(cfg.model, q, cfg.gamma, cfg.delta)
@@ -116,9 +108,17 @@ def _series_for_q(cfg: ExperimentConfig, q: float):
     return ts, dft_real(ts, window=PIPELINE_WINDOW)
 
 
-def _detect_for_q(cfg: ExperimentConfig, q: float):
+def recover_levels(cfg: ExperimentConfig, q: float):
+    """Levels at q, end to end: (series, detected EnergyLevels, reference
+    levels, absolute errors of the detected against the reference)."""
     ts, spec = _series_for_q(cfg, q)
-    return ts, detect_levels(spec, n_expected=4, min_prominence=PIPELINE_PROMINENCE)
+    levels = detect_levels(spec, n_expected=4, min_prominence=PIPELINE_PROMINENCE)
+    if cfg.model == "h0":
+        ref = spectrum_h0(q)
+    else:
+        ref = exact_diag(build_hamiltonian(
+            cfg.model, 4, q, ModelParams(gamma=cfg.gamma, delta=cfg.delta)))
+    return ts, levels, ref, match_levels(levels, ref)
 
 
 def _write_manifest(cfg: ExperimentConfig, command: str, series) -> None:
@@ -146,15 +146,13 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     rows, series = [], []
     for q in cfg.q_grid:
         try:
-            ts, levels = _detect_for_q(cfg, q)
+            ts, levels, ref, errs = recover_levels(cfg, q)
         except (InsufficientPeaks, ValueError) as exc:
             print(f"error: q={q}: {exc}", file=sys.stderr)
             return 1
-        ref = _reference_levels(cfg, q)
-        errs = match_levels(levels, ref)
         row = [q, *levels.levels, *ref, *errs]
         if cfg.model == "ho":
-            row += list(spectrum_hho_paper(q, cfg.gamma).levels)
+            row += list(spectrum_hho_paper(q, cfg.gamma))
         rows.append(row)
         series.append((q, ts))
     path = os.path.join(cfg.out, f"spectrum_{cfg.model}.csv")
@@ -230,10 +228,8 @@ def _verify_suites() -> list[tuple[str, int, float, float]]:
                                    ("ao", 0.8, 0.0, 0.1)):
         cfg = ExperimentConfig(model=model, q_grid=(q,), gamma=gamma, delta=delta,
                                samples=2048)
-        ts, levels = _detect_for_q(cfg, q)
-        ref = _reference_levels(cfg, q)
-        halfbin = np.pi / (len(ts.samples) * ts.dt)
-        dev = max(dev, match_levels(levels, ref).max() / halfbin)
+        _, levels, _, errs = recover_levels(cfg, q)
+        dev = max(dev, errs.max() / (0.5 * levels.bin_width))
         n += 1
     suites.append(("detected-vs-diagonalization (half-bin units)", n, dev, 1.0))
     return suites

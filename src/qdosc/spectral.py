@@ -127,17 +127,19 @@ def sample_series(d: PauliCoefficients, dt: float | None = None,
     """Probe expectation sampled at t_j = j dt for j = 0 .. m-1.
 
     Refuses spacings that alias the estimated top frequency: requires
-    pi/dt > 2 sum|d_i|.  With shot readout one seeded generator is advanced
-    across the series so the draws are independent sample to sample yet
-    fully reproducible from cfg.seed.
+    pi/dt > 2 sum|d_i|, and that estimate finite.  With shot readout one
+    seeded generator is advanced across the series so the draws are
+    independent sample to sample yet fully reproducible from cfg.seed.
     """
     cfg = cfg or MeasurementConfig()
     if m is None:
         m = default_samples(cfg)
     check_sample_count(m)
+    top = 2.0 * energy_scale_estimate(d)
+    if not math.isfinite(top):
+        raise ValueError(f"estimated top frequency {top} is not finite")
     if dt is None:
         dt = default_dt(d)
-    top = 2.0 * energy_scale_estimate(d)
     if math.pi / dt <= top:
         raise NyquistViolation(
             f"dt={dt} gives bandwidth {math.pi / dt:.4g} <= estimated top "
@@ -192,9 +194,6 @@ def detect_levels(spec: Spectrum, n_expected: int = 4,
     InsufficientPeaks is raised.
     """
     freqs, vals = spec.frequencies, spec.values
-    if n_expected == 0:
-        return EnergyLevels(levels=np.array([]), heights=np.array([]),
-                            bin_width=spec.bin_width)
     pos = freqs > 0
     floor = min_prominence * vals[pos].max()
     # views of every inner bin and its two neighbours; no copies
@@ -216,9 +215,8 @@ def detect_levels(spec: Spectrum, n_expected: int = 4,
 
 def match_levels(detected: EnergyLevels, reference) -> np.ndarray:
     """Pair detected and reference levels in ascending order and return the
-    read-only array of absolute errors.  reference may be a
-    ReferenceSpectrum or an array."""
-    ref = np.sort(np.asarray(getattr(reference, "levels", reference), dtype=float))
+    read-only array of absolute errors."""
+    ref = np.sort(np.asarray(reference, dtype=float))
     det = detected.levels
     if len(det) != len(ref):
         raise ValueError(f"{len(det)} detected levels vs {len(ref)} reference")

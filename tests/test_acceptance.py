@@ -15,22 +15,14 @@ from scipy.linalg import expm
 from qdosc import (Gate, MeasurementConfig, ModelParams, PauliCoefficients,
                    build_evolution_block, build_hamiltonian,
                    build_protocol_circuit, circuit_unitary, coeffs_h0,
-                   detect_levels, dft_real, evolution_target, evolve_exact,
-                   exact_diag, match_levels, model_coefficients,
-                   pauli_decompose, phase_aligned_distance, probe_expectation,
-                   reconstruct, run_circuit, sample_series, spectrum_h0,
+                   dft_real, evolution_target, evolve_exact,
+                   model_coefficients, pauli_decompose, phase_aligned_distance,
+                   probe_expectation, reconstruct, run_circuit, sample_series,
                    spectrum_hho_paper, system_to_wires, total_hamiltonian)
-from qdosc.cli import PIPELINE_PROMINENCE, PIPELINE_WINDOW
+from qdosc.cli import ExperimentConfig, recover_levels
 
 Q_SIX = (0.5, 0.8, 1.0, 1.2, 1.5, 2.0)
 Q_SWEEP = tuple(np.round(np.arange(0.5, 2.0001, 0.1), 12))
-
-
-def run_pipeline(d, m, cfg=None):
-    ts = sample_series(d, m=m, cfg=cfg)
-    spec = dft_real(ts, window=PIPELINE_WINDOW)
-    return ts, detect_levels(spec, n_expected=4,
-                             min_prominence=PIPELINE_PROMINENCE)
 
 
 def all_models(q):
@@ -46,7 +38,7 @@ def all_models(q):
 def test_undeformed_baseline_levels():
     """q = 1, default spacing, 4096 samples: levels to 1e-2 in under 10 s."""
     start = time.perf_counter()
-    _, lv = run_pipeline(coeffs_h0(1.0), m=4096)
+    _, lv, _, _ = recover_levels(ExperimentConfig(samples=4096), 1.0)
     elapsed = time.perf_counter() - start
     np.testing.assert_allclose(lv.levels, [0.5, 1.5, 2.5, 3.5], atol=1e-2)
     assert elapsed < 10.0, f"baseline run took {elapsed:.1f}s"
@@ -54,10 +46,10 @@ def test_undeformed_baseline_levels():
 
 def test_levels_match_closed_form_across_deformation():
     """Detected free-model levels track the closed form within half a bin."""
-    for q in Q_SIX:
-        ts, lv = run_pipeline(coeffs_h0(q), m=2048)
-        tol = math.pi / (len(ts.samples) * ts.dt)
-        err = match_levels(lv, spectrum_h0(q)).max()
+    cfg = ExperimentConfig(q_grid=Q_SIX, samples=2048)
+    for q in cfg.q_grid:
+        _, lv, _, errs = recover_levels(cfg, q)
+        tol, err = 0.5 * lv.bin_width, errs.max()
         assert err < tol, f"q={q}: {err:.2e} vs half-bin {tol:.2e}"
 
 
@@ -82,32 +74,24 @@ def test_quadratic_sweep_matches_diagonalization():
     every (gamma, q); the shifted-frequency reference stays within 5% of the
     eigensolve at weak coupling."""
     for gamma in (0.1, 0.5, 1.0):
-        for q in Q_SWEEP:
-            d = model_coefficients("ho", q, gamma=gamma)
-            ts, lv = run_pipeline(d, m=1024)
-            ref = exact_diag(build_hamiltonian("ho", 4, q,
-                                               ModelParams(gamma=gamma)))
-            tol = math.pi / (len(ts.samples) * ts.dt)
-            err = match_levels(lv, ref).max()
+        cfg = ExperimentConfig(model="ho", q_grid=Q_SWEEP, gamma=gamma, samples=1024)
+        for q in cfg.q_grid:
+            _, lv, ref, errs = recover_levels(cfg, q)
+            tol, err = 0.5 * lv.bin_width, errs.max()
             assert err < tol, f"gamma={gamma} q={q}: {err:.2e} vs {tol:.2e}"
-    for q in Q_SWEEP:
-        ref = exact_diag(build_hamiltonian("ho", 4, q, ModelParams(gamma=0.1)))
-        shifted = spectrum_hho_paper(q, 0.1)
-        rel = np.abs(shifted.levels - ref.levels) / ref.levels
-        assert rel.max() < 0.05, f"q={q}: shifted-reference off by {rel.max():.3f}"
+            if gamma == 0.1:
+                rel = np.abs(spectrum_hho_paper(q, gamma) - ref) / ref
+                assert rel.max() < 0.05, f"q={q}: shifted reference off {rel.max():.3f}"
 
 
 def test_quartic_sweep_matches_diagonalization():
     """Quartic-coupling sweep; no closed form exists, the block eigensolve
     is the only reference."""
     for delta in (0.1, 0.5):
-        for q in Q_SWEEP:
-            d = model_coefficients("ao", q, delta=delta)
-            ts, lv = run_pipeline(d, m=1024)
-            ref = exact_diag(build_hamiltonian("ao", 4, q,
-                                               ModelParams(delta=delta)))
-            tol = math.pi / (len(ts.samples) * ts.dt)
-            err = match_levels(lv, ref).max()
+        cfg = ExperimentConfig(model="ao", q_grid=Q_SWEEP, delta=delta, samples=1024)
+        for q in cfg.q_grid:
+            _, lv, _, errs = recover_levels(cfg, q)
+            tol, err = 0.5 * lv.bin_width, errs.max()
             assert err < tol, f"delta={delta} q={q}: {err:.2e} vs {tol:.2e}"
 
 
@@ -152,8 +136,8 @@ def test_shot_noise_scale_and_level_recovery():
         ratio = np.std(vals, ddof=1) / predicted
         assert 0.75 < ratio < 1.25, f"t={t}: std ratio {ratio:.3f}"
 
-    cfg = MeasurementConfig(shots, seed=0)
-    _, lv = run_pipeline(d, m=8192, cfg=cfg)
+    cfg = ExperimentConfig(samples=8192, shots=shots, seed=0)
+    _, lv, _, _ = recover_levels(cfg, 1.0)
     np.testing.assert_allclose(lv.levels, [0.5, 1.5, 2.5, 3.5], atol=5e-2)
 
 

@@ -45,7 +45,7 @@ def test_spectrum_quadratic_emits_shift_reference(tmp_path):
     header = csv.read_text().splitlines()[0].split(",")
     assert header[-4:] == [f"e{i}_shifted_omega" for i in range(1, 5)]
     row = load_rows(csv)[0]
-    np.testing.assert_allclose(row[13:17], spectrum_hho_paper(1.0, 0.5).levels,
+    np.testing.assert_allclose(row[13:17], spectrum_hho_paper(1.0, 0.5),
                                atol=1e-12)
 
 
@@ -231,33 +231,104 @@ def test_unresolved_peaks_error_names_the_q_point(tmp_path, capsys):
     assert "q=1.0" in err and "peak" in err
 
 
-def test_malformed_grid_flag_exits_cleanly(tmp_path, capsys):
-    # each is an unusable argument: exit 2 before any sampling or output
-    cases = [["spectrum", "--q-grid", "1:2"],
-             ["spectrum", "--q-grid", "1.2:0.8:0.1"],
-             ["spectrum", "--q", "nan"],
-             ["spectrum", "--q", "inf"],
-             ["spectrum", "--q", "0"],
-             ["spectrum", "--model", "ho", "--gamma", "-5"],
-             ["spectrum", "--model", "ao", "--delta", "nan"],
-             ["spectrum", "--shots", "0"],
-             ["spectrum", "--shots", "16", "--seed", "-1"],
-             ["spectrum", "--samples", "100"],
-             ["spectrum", "--samples", "0"],
-             ["spectrum", "--dt", "-1"],
-             ["timeseries", "--t-max", "0"],
-             # values the generator, the coefficients or the grid cannot hold
-             ["spectrum", "--samples", "16", "--shots", "100000000000000000000"],
-             ["spectrum", "--model", "ho", "--q", "1e200", "--samples", "16"],
-             ["spectrum", "--q-grid", "0.5:2.0:1e-12"],
-             # powers of two past the sample cap, 2^21 and 2^40
-             ["spectrum", "--samples", str(2**21)],
-             ["spectrum", "--samples", str(2**40)]]
-    for i, argv in enumerate(cases):
-        out = tmp_path / str(i)
-        assert main(argv + ["--out", str(out)]) == 2, argv
-        assert "error:" in capsys.readouterr().err
-        assert not out.exists(), argv
+def _flag_cases(argv, flag, values, codes):
+    return [(argv + [f"{flag}={v}"], None, c) for v, c in zip(values, codes)]
+
+
+def _key_cases(text, key, values, codes, command="spectrum"):
+    return [([command], f"{text}{key} = {v}\n", c) for v, c in zip(values, codes)]
+
+
+# (argv, config-file text or None, exit code) for every flag and config key
+# at 0, negative, huge, nan, inf and a wrong type, then cases of their own.
+# 2 is an unusable argument: "error:" and nothing written.  1 is a runtime
+# failure of a usable one (aliasing dt, too few peaks in 16 samples), 0 a
+# finished run.  A case that runs for real uses 16 samples; no huge sample,
+# shot or grid count gets past the checks.
+SPECTRUM, HO, AO = ["spectrum"], ["spectrum", "--model=ho"], ["spectrum", "--model=ao"]
+SIX = ("0", "-1", "1e300", "nan", "inf", "x")
+EDGE_CASES = [
+    *_flag_cases(SPECTRUM, "--model", ("0", "x"), (2, 2)),
+    *_flag_cases(SPECTRUM, "--q", SIX, (2, 2, 2, 2, 2, 2)),
+    *_flag_cases(SPECTRUM, "--q-grid", ("0:1:0.5", "-1:1:0.5", "0.5:2.0:1e-12",
+                                        "nan:1:0.1", "1:inf:0.1", "a:b:c"),
+                 (2, 2, 2, 2, 2, 2)),
+    *_flag_cases(HO, "--gamma", ("0", "-5", "1e308", "nan", "inf", "x"),
+                 (1, 2, 2, 2, 2, 2)),
+    *_flag_cases(AO, "--delta", ("0", "-1", "5e306", "nan", "inf", "x"),
+                 (1, 2, 2, 2, 2, 2)),
+    *_flag_cases(SPECTRUM, "--dt", SIX, (2, 2, 1, 2, 2, 2)),
+    *_flag_cases(SPECTRUM, "--samples", ("0", "-16", str(2**40), "nan", "inf", "1.5"),
+                 (2, 2, 2, 2, 2, 2)),
+    *_flag_cases(SPECTRUM, "--shots", ("0", "-1", "100000000000000000000",
+                                       "nan", "inf", "x"), (2, 2, 2, 2, 2, 2)),
+    *_flag_cases(["timeseries", "--shots=16"], "--seed",
+                 ("0", "-1", str(2**64), "nan", "inf", "x"), (0, 2, 0, 2, 2, 2)),
+    *_flag_cases(["timeseries"], "--t-max", SIX, (2, 2, 1, 2, 2, 2)),
+    *_flag_cases(SPECTRUM, "--out", ("", "{tmp}/afile", "{tmp}/afile/sub"), (2, 2, 2)),
+    *_flag_cases(SPECTRUM, "--config", ("{tmp}/missing.cfg", "{tmp}"), (2, 2)),
+    *_key_cases("", "model", ("0", "x"), (2, 2)),
+    *_key_cases("", "q_grid", ("0", "-1", "1e300", "nan", "inf", "x", "1,,2", ""),
+                (2, 2, 2, 2, 2, 2, 2, 2)),
+    *_key_cases("model = ho\n", "gamma", ("0", "-5", "1e308", "nan", "inf", "x"),
+                (1, 2, 2, 2, 2, 2)),
+    *_key_cases("model = ao\n", "delta", ("0", "-1", "5e306", "nan", "inf", "x"),
+                (1, 2, 2, 2, 2, 2)),
+    *_key_cases("", "dt", SIX, (2, 2, 1, 2, 2, 2)),
+    *_key_cases("", "samples", ("0", "-16", str(2**40), "nan", "inf", "1.5", "100"),
+                (2, 2, 2, 2, 2, 2, 2)),
+    *_key_cases("", "shots", ("0", "-1", "100000000000000000000", "nan", "inf", "x"),
+                (2, 2, 2, 2, 2, 2)),
+    *_key_cases("shots = 16\n", "seed", ("0", "-1", str(2**64), "nan", "inf", "x"),
+                (0, 2, 0, 2, 2, 2), command="timeseries"),
+    *_key_cases("", "out", ("",), (2,)),
+    # coefficients, or their frequency estimate, that overflow; a reversed or
+    # short grid; samples off the power-of-two rule or one step past the cap
+    (["spectrum", "--model=ho", "--q=1e200"], None, 2),
+    (["spectrum", "--model=ao", "--q=1.0", "--delta=5e306"], None, 2),
+    (["timeseries", "--model=ao", "--delta=5e306"], None, 2),
+    (["spectrum", "--q-grid=1.2:0.8:0.1"], None, 2),
+    (["spectrum", "--q-grid=1:2"], None, 2),
+    (["spectrum", "--samples=100"], None, 2),
+    (["spectrum", f"--samples={2**21}"], None, 2),
+]
+
+
+def _edge_id(case):
+    argv, text, _ = case
+    return " ".join(argv + ([text.replace("\n", "; ").strip("; ")] if text else []))
+
+
+@pytest.mark.parametrize("argv,text,code", EDGE_CASES,
+                         ids=[_edge_id(c) for c in EDGE_CASES])
+def test_edge_values_exit_as_documented(argv, text, code, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("QDOSC_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)  # an output directory that slips through lands here
+    (tmp_path / "afile").write_text("x")
+    out = tmp_path / "out"
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    if text is not None:
+        (tmp_path / "run.cfg").write_text(text)
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    if not any(a.startswith("--samples") for a in argv) and "samples" not in (text or ""):
+        argv += ["--samples=16"]
+    if not any(a.startswith("--out") for a in argv):
+        argv += ["--out", str(out)]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse: a wrong type or an unknown choice
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == code, err
+    if code == 0:
+        assert (out / "run_manifest.json").exists()
+    else:
+        assert "error:" in err
+    if code == 1:
+        assert "error: q=1.0:" in err  # the point that failed, not an argument
+    if code == 2:
+        assert {p.name for p in tmp_path.iterdir()} <= {"afile", "run.cfg"}
+        assert (tmp_path / "afile").read_text() == "x"
 
 
 def test_verify_reports_all_suites(capsys):

@@ -52,6 +52,13 @@ class TestSampleSeries:
         assert math.pi / dt == pytest.approx(2.5 * energy_scale_estimate(d))
         sample_series(d, dt=dt, m=16)  # must not raise
 
+    def test_rejects_an_overflowing_frequency_estimate(self):
+        # every coefficient is finite, but 2 sum|d_i| overflows to inf
+        d = model_coefficients("ao", 1.0, delta=5e306)
+        assert np.isfinite(d.as_array()).all()
+        with pytest.raises(ValueError, match="not finite"):
+            sample_series(d, m=16)
+
     @pytest.mark.parametrize("bad_m", [8, 12, 100, 1000])
     def test_rejects_bad_sample_counts(self, bad_m):
         with pytest.raises(ValueError):
@@ -242,7 +249,7 @@ class TestMatchLevels:
         lv = detect_levels(dft_real(ts, window="hann"), n_expected=4,
                            min_prominence=0.05)
         errs = match_levels(lv, spectrum_h0(1.0))
-        np.testing.assert_array_equal(errs, np.abs(lv.levels - spectrum_h0(1.0).levels))
+        np.testing.assert_array_equal(errs, np.abs(lv.levels - spectrum_h0(1.0)))
         assert errs.max() < math.pi / (1024 * 0.05)
         with pytest.raises(ValueError):
             errs[0] = 0.0
