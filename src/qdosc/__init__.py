@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 from .analytic import NotBlockStructured, exact_diag, spectrum_h0, spectrum_hho_paper
 from .circuit import (Circuit, Gate, build_evolution_block, build_protocol_circuit,
                       circuit_unitary, phase_aligned_distance, system_to_wires)
-from .qops import (ModelParams, TruncatedOperator, build_hamiltonian, build_ladder,
-                   build_padded_power, q_number)
+from .qops import build_ladder, build_padded_power, q_number
 from .simulator import (MeasurementConfig, StateVector, evolution_target,
                         evolve_exact, probe_expectation, run_circuit,
                         total_hamiltonian)
@@ -21,11 +20,13 @@ from .spectral import (EnergyLevels, InsufficientPeaks, NyquistViolation, Spectr
                        energy_scale_estimate, match_levels, sample_series)
 from .spinmap import (NotInSpinFamily, PauliCoefficients, coeffs_h0, coeffs_hao,
                       coeffs_hho, model_coefficients, pauli_decompose, reconstruct)
+# the package-level build_hamiltonian is the old (model, 4, q, ModelParams)
+# call; the array builder is qops.build_hamiltonian(model, q, gamma, delta)
+from .legacy import ModelParams, build_hamiltonian
 
 __all__ = [
     "__version__",
-    "q_number", "ModelParams", "TruncatedOperator",
-    "build_ladder", "build_padded_power", "build_hamiltonian",
+    "q_number", "build_ladder", "build_padded_power",
     "PauliCoefficients", "pauli_decompose", "reconstruct", "coeffs_h0",
     "coeffs_hho", "coeffs_hao", "model_coefficients", "NotInSpinFamily",
     "Gate", "Circuit", "build_evolution_block", "build_protocol_circuit",

@@ -13,16 +13,16 @@ class NotBlockStructured(ValueError):
     """Raised when a matrix couples the even and odd level-pair blocks."""
 
 
-def spectrum_h0(q: float, dim: int = 4) -> np.ndarray:
+def spectrum_h0(q: float) -> np.ndarray:
     """Exact levels of the free deformed oscillator.
 
     The diagonal of the h0 Hamiltonian (see qops.build_hamiltonian),
     strictly increasing in n.
     """
-    return np.diag(build_hamiltonian("h0", dim, q).matrix)
+    return np.diag(build_hamiltonian("h0", q))
 
 
-def spectrum_hho_paper(q: float, gamma: float, dim: int = 4) -> np.ndarray:
+def spectrum_hho_paper(q: float, gamma: float) -> np.ndarray:
     """Frequency-shift reference for the quadratically perturbed oscillator.
 
     Absorbing the X2 term into the quadratic potential rescales the
@@ -32,7 +32,7 @@ def spectrum_hho_paper(q: float, gamma: float, dim: int = 4) -> np.ndarray:
     approximation, not the exact spectrum of the truncated matrix; use
     exact_diag for that.
     """
-    return np.sqrt(1.0 + gamma) * spectrum_h0(q, dim)
+    return np.sqrt(1.0 + gamma) * spectrum_h0(q)
 
 
 def _eig2(a: float, b: float, c: float) -> tuple[float, float]:
@@ -50,8 +50,6 @@ def exact_diag(h) -> np.ndarray:
     Raises NotBlockStructured if cross-block entries exceed BLOCK_TOL.
     """
     m = as_matrix(h)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
     off = max(abs(m[0, 1]), abs(m[1, 0]), abs(m[0, 3]), abs(m[3, 0]),
               abs(m[1, 2]), abs(m[2, 1]), abs(m[2, 3]), abs(m[3, 2]))
     if off > BLOCK_TOL:

@@ -14,7 +14,7 @@ import numpy as np
 from . import __version__
 from .analytic import exact_diag, spectrum_h0, spectrum_hho_paper
 from .circuit import build_evolution_block, circuit_unitary, phase_aligned_distance
-from .qops import MODELS, ModelParams, build_hamiltonian
+from .qops import MODELS, build_hamiltonian, check_couplings
 from .simulator import MeasurementConfig, evolution_target, evolve_exact, probe_expectation
 from .spectral import (InsufficientPeaks, _write_csv, check_sample_count,
                        default_samples, detect_levels, dft_real,
@@ -56,9 +56,7 @@ class ExperimentConfig:
         if not self.q_grid or not all(math.isfinite(q) and q > 0 for q in self.q_grid):
             raise ValueError(f"q grid must be non-empty, finite and positive, "
                              f"got {self.q_grid}")
-        if not all(math.isfinite(c) and c >= 0 for c in (self.gamma, self.delta)):
-            raise ValueError(f"gamma and delta must be finite and non-negative, "
-                             f"got {self.gamma}, {self.delta}")
+        check_couplings(self.gamma, self.delta)
         for q in self.q_grid:
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -97,6 +95,8 @@ class ExperimentConfig:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in types:
                 raise ValueError(f"unknown config key {key!r}")
+            if key in values:
+                raise ValueError(f"config key {key!r} given twice")
             values[key] = _PARSERS[types[key]](val)
         return cls(**values)
 
@@ -116,8 +116,7 @@ def recover_levels(cfg: ExperimentConfig, q: float):
     if cfg.model == "h0":
         ref = spectrum_h0(q)
     else:
-        ref = exact_diag(build_hamiltonian(
-            cfg.model, 4, q, ModelParams(gamma=cfg.gamma, delta=cfg.delta)))
+        ref = exact_diag(build_hamiltonian(cfg.model, q, cfg.gamma, cfg.delta))
     return ts, levels, ref, match_levels(levels, ref)
 
 
@@ -219,7 +218,7 @@ def _verify_suites() -> list[tuple[str, int, float, float]]:
                    model_coefficients("ho", q, gamma=rng.uniform(0.1, 1.0)),
                    model_coefficients("ao", q, delta=rng.uniform(0.1, 0.5)))
         d = options[rng.integers(3)]
-        dev = max(dev, abs(probe_expectation(d, t) - evolve_exact(d, t)))
+        dev = max(dev, abs(probe_expectation(d, t) - evolve_exact(reconstruct(d), t)))
     suites.append(("probe-vs-exact-evolution", 50, dev, 1e-8))
 
     dev, n = 0.0, 0
@@ -237,12 +236,12 @@ def _verify_suites() -> list[tuple[str, int, float, float]]:
 
 def _verify_models(q: float):
     """(coefficients, Hamiltonian) at q for each model point the suites cover."""
-    points = [("h0", ModelParams())]
-    points += [("ho", ModelParams(gamma=gamma)) for gamma in (0.1, 0.5, 1.0)]
-    points += [("ao", ModelParams(delta=delta)) for delta in (0.1, 0.5)]
-    for model, params in points:
-        yield (model_coefficients(model, q, params.gamma, params.delta),
-               build_hamiltonian(model, 4, q, params))
+    points = [("h0", 0.0, 0.0)]
+    points += [("ho", gamma, 0.0) for gamma in (0.1, 0.5, 1.0)]
+    points += [("ao", 0.0, delta) for delta in (0.1, 0.5)]
+    for model, gamma, delta in points:
+        yield (model_coefficients(model, q, gamma, delta),
+               build_hamiltonian(model, q, gamma, delta))
 
 
 def cmd_verify() -> int:
@@ -282,7 +281,9 @@ def _build_config(args) -> ExperimentConfig:
     values["out"] = os.environ.get(OUTDIR_ENV, values["out"])
     cfg = ExperimentConfig(**values)
     t_max = getattr(args, "t_max", None)
-    if cfg.dt is None and t_max is not None:
+    if t_max is not None:
+        if args.dt is not None:
+            raise ValueError("--dt and --t-max cannot be given together")
         cfg = replace(cfg, dt=t_max / cfg.resolved_samples())
     return cfg
 
@@ -296,8 +297,9 @@ def main(argv=None) -> int:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--model", choices=MODELS)
-    common.add_argument("--q", type=float, help="single deformation value")
-    common.add_argument("--q-grid", help="start:stop:step, endpoints inclusive")
+    grid = common.add_mutually_exclusive_group()
+    grid.add_argument("--q", type=float, help="single deformation value")
+    grid.add_argument("--q-grid", help="start:stop:step, endpoints inclusive")
     common.add_argument("--gamma", type=float, help="quadratic coupling")
     common.add_argument("--delta", type=float, help="quartic coupling")
     common.add_argument("--dt", type=float, help="sample spacing (default: auto)")
@@ -312,7 +314,7 @@ def main(argv=None) -> int:
     ts_parser = sub.add_parser("timeseries", parents=[common],
                                help="write the probe series and its spectrum")
     ts_parser.add_argument("--t-max", type=float,
-                           help="total span; sets dt = t_max/samples if dt unset")
+                           help="total span; sets dt = t_max/samples (not with --dt)")
     sub.add_parser("verify", help="run the oracle-equivalence self-checks")
 
     args = parser.parse_args(argv)

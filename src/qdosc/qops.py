@@ -10,7 +10,7 @@ matrix elements of the infinite-dimensional product on the kept block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
@@ -42,53 +42,22 @@ def q_number(n: int, q: float) -> float:
     return float(sum(q**k for k in range(int(n))))
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Perturbation strengths for the quadratic (gamma) and quartic (delta)
-    terms, in units hbar = m = omega = 1."""
-
-    gamma: float = 0.0
-    delta: float = 0.0
-
-    def __post_init__(self):
-        if self.gamma < 0 or self.delta < 0:
-            raise ValueError("perturbation strengths must be non-negative")
+def check_couplings(gamma: float, delta: float) -> None:
+    """Raise ValueError unless both perturbation strengths are finite and >= 0."""
+    if not all(math.isfinite(c) and c >= 0 for c in (gamma, delta)):
+        raise ValueError(f"gamma and delta must be finite and non-negative, "
+                         f"got {gamma}, {delta}")
 
 
-def freeze_arrays(obj, *names: str) -> None:
-    """Replace each named field of a frozen dataclass by a read-only float view.
-
-    The view shares the given array's data without copying it, so the
-    caller's own array stays writable; writes to it show through the field.
-    """
-    for name in names:
-        view = np.asarray(getattr(obj, name), dtype=float).view()
-        view.setflags(write=False)
-        object.__setattr__(obj, name, view)
+def as_matrix(h) -> np.ndarray:
+    """The 4x4 float array of a system Hamiltonian; any other shape raises."""
+    m = np.asarray(h, dtype=float)
+    if m.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    return m
 
 
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """A square real matrix on the truncated basis, held as a read-only view.
-
-    The builders in this module return symmetric matrices; the tests check
-    that, nothing here does."""
-
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        freeze_arrays(self, "matrix")
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator matrix must be square, got shape {m.shape}")
-
-
-def as_matrix(op) -> np.ndarray:
-    """Accept a TruncatedOperator or a bare ndarray and return the ndarray."""
-    return np.asarray(getattr(op, "matrix", op), dtype=float)
-
-
-def build_ladder(dim: int, q: float) -> tuple[TruncatedOperator, TruncatedOperator]:
+def build_ladder(dim: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     """Lowering and raising matrices on a dim-level basis.
 
     The lowering matrix has sqrt(bracket(n)) on the superdiagonal,
@@ -104,22 +73,22 @@ def build_ladder(dim: int, q: float) -> tuple[TruncatedOperator, TruncatedOperat
 
     Returns
     -------
-    (lowering, raising) : pair of TruncatedOperator
+    (lowering, raising) : pair of dim x dim arrays
     """
     if dim < 2:
         raise ValueError(f"need at least two levels, got dim={dim}")
     b = np.zeros((dim, dim))
     for n in range(1, dim):
         b[n - 1, n] = np.sqrt(q_number(n, q))
-    return TruncatedOperator(b), TruncatedOperator(b.T.copy())
+    return b, b.T.copy()
 
 
-def build_padded_power(kind: str, dim: int, q: float) -> TruncatedOperator:
+def build_padded_power(kind: str, q: float) -> np.ndarray:
     """Square or fourth power of the position/momentum quadrature, edge-corrected.
 
     kind is one of "X2", "P2", "X4".  The product is formed in a basis
-    enlarged by one level per squaring (PAD) and then cropped to dim x dim,
-    so the retained block is exact; a naive product in dim levels would
+    enlarged by one level per squaring (PAD) and then cropped to 4 x 4,
+    so the retained block is exact; a naive product in four levels would
     corrupt the last diagonal entries.
 
     X = sqrt(1+q)/2 (b+ + b) and P = i sqrt(1+q)/2 (b+ - b), hence
@@ -130,11 +99,7 @@ def build_padded_power(kind: str, dim: int, q: float) -> TruncatedOperator:
     """
     if kind not in PAD:
         raise ValueError(f"unknown operator kind {kind!r}, expected one of {sorted(PAD)}")
-    if dim < 2:
-        raise ValueError(f"need at least two levels, got dim={dim}")
-    big = dim + PAD[kind]
-    low, high = build_ladder(big, q)
-    b, bd = low.matrix, high.matrix
+    b, bd = build_ladder(4 + PAD[kind], q)
     pref = (1.0 + q) / 4.0
     if kind == "X2":
         m = pref * (bd + b) @ (bd + b)
@@ -143,32 +108,29 @@ def build_padded_power(kind: str, dim: int, q: float) -> TruncatedOperator:
     else:
         x2 = pref * (bd + b) @ (bd + b)
         m = x2 @ x2
-    return TruncatedOperator(m[:dim, :dim])
+    return m[:4, :4]
 
 
-def build_hamiltonian(model: str, dim: int, q: float,
-                      params: ModelParams | None = None) -> TruncatedOperator:
-    """Truncated Hamiltonian for one of the three oscillator models.
+def build_hamiltonian(model: str, q: float, gamma: float = 0.0,
+                      delta: float = 0.0) -> np.ndarray:
+    """4 x 4 Hamiltonian for one of the three oscillator models.
 
     model = "h0"  free deformed oscillator, diagonal with entries
                   ((1+q)/4) ([n]_q + [n+1]_q),
     model = "ho"  h0 plus (gamma/2) X2,
     model = "ao"  h0 plus delta X4.
 
-    The diagonal closed form for h0 coincides with (X2 + P2)/2 built from
-    the edge-corrected squares.
+    The couplings gamma and delta must be finite and non-negative.  The
+    diagonal closed form for h0 coincides with (X2 + P2)/2 built from the
+    edge-corrected squares.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
-    if dim < 2:
-        raise ValueError(f"need at least two levels, got dim={dim}")
-    params = params or ModelParams()
+    check_couplings(gamma, delta)
     h0 = np.diag([(1.0 + q) / 4.0 * (q_number(n, q) + q_number(n + 1, q))
-                  for n in range(dim)])
+                  for n in range(4)])
     if model == "h0":
-        return TruncatedOperator(h0)
+        return h0
     if model == "ho":
-        x2 = build_padded_power("X2", dim, q).matrix
-        return TruncatedOperator(h0 + 0.5 * params.gamma * x2)
-    x4 = build_padded_power("X4", dim, q).matrix
-    return TruncatedOperator(h0 + params.delta * x4)
+        return h0 + 0.5 * gamma * build_padded_power("X2", q)
+    return h0 + delta * build_padded_power("X4", q)

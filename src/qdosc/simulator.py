@@ -116,10 +116,7 @@ def probe_expectation(d: PauliCoefficients, t: float,
 
 def total_hamiltonian(h) -> np.ndarray:
     """8x8 generator z0 (x) H, with H in the index order it is given in."""
-    m = as_matrix(h)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 system matrix, got shape {m.shape}")
-    return np.kron(np.diag([1.0, -1.0]), m)
+    return np.kron(np.diag([1.0, -1.0]), as_matrix(h))
 
 
 def evolve_exact(h, t: float) -> float:
@@ -129,13 +126,10 @@ def evolve_exact(h, t: float) -> float:
     of the total generator.  Because x0 flips the probe and anticommutes
     with the generator, the value is a weighted sum of cos(2 w_k t) over
     the generator eigenvalues, hence real; a residual imaginary part above
-    rounding raises RuntimeError.  Accepts a TruncatedOperator, a bare 4x4
-    matrix, or PauliCoefficients.
+    rounding raises RuntimeError.  h is the 4x4 system matrix, for instance
+    reconstruct(d) of a coefficient set.
     """
-    if isinstance(h, PauliCoefficients):
-        h = reconstruct(h)
-    ht = total_hamiltonian(h)
-    w, vecs = np.linalg.eigh(ht)
+    w, vecs = np.linalg.eigh(total_hamiltonian(h))
     psi0 = np.full(8, 1.0 / math.sqrt(8.0))
     overlaps = vecs.T.conj() @ psi0
     val = np.sum(np.abs(overlaps) ** 2 * np.exp(-2j * w * t))

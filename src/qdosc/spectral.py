@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qops import freeze_arrays
 from .simulator import MeasurementConfig, probe_expectation
 from .spinmap import PauliCoefficients
 
@@ -29,6 +28,18 @@ MAX_SAMPLES = 1 << 20
 #: fraction of the one-sided bandwidth pi/dt that the default dt leaves to
 #: the estimated top frequency 2 * sum|d_i|
 NYQUIST_HEADROOM = 0.8
+
+
+def freeze_arrays(obj, *names: str) -> None:
+    """Replace each named field of a frozen dataclass by a read-only float view.
+
+    The view shares the given array's data without copying it, so the
+    caller's own array stays writable; writes to it show through the field.
+    """
+    for name in names:
+        view = np.asarray(getattr(obj, name), dtype=float).view()
+        view.setflags(write=False)
+        object.__setattr__(obj, name, view)
 
 
 class NyquistViolation(ValueError):

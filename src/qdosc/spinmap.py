@@ -76,8 +76,6 @@ def pauli_decompose(h) -> PauliCoefficients:
     is rejected with NotInSpinFamily.
     """
     m = as_matrix(h)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
     if np.abs(m - m.T).max() > FAMILY_TOL:
         raise NotInSpinFamily("matrix is not symmetric")
     d = np.array([np.trace(p @ m) / 4.0 for p in PAULI_STRINGS])
@@ -143,7 +141,7 @@ def coeffs_hao(q: float, delta: float) -> PauliCoefficients:
         d5  = delta (A02 + A13) / 2
         d6  = delta (A02 - A13) / 2
     """
-    a = build_padded_power("X4", 4, q).matrix
+    a = build_padded_power("X4", q)
     d = coeffs_h0(q).as_array()
     d[0] += delta / 4.0 * (a[0, 0] + a[1, 1] + a[2, 2] + a[3, 3])
     d[1] += delta / 4.0 * (a[0, 0] - a[1, 1] + a[2, 2] - a[3, 3])

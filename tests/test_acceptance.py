@@ -12,27 +12,28 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qdosc import (Gate, MeasurementConfig, ModelParams, PauliCoefficients,
-                   build_evolution_block, build_hamiltonian,
-                   build_protocol_circuit, circuit_unitary, coeffs_h0,
-                   dft_real, evolution_target, evolve_exact,
-                   model_coefficients, pauli_decompose, phase_aligned_distance,
-                   probe_expectation, reconstruct, run_circuit, sample_series,
-                   spectrum_hho_paper, system_to_wires, total_hamiltonian)
+from qdosc import (Gate, MeasurementConfig, PauliCoefficients,
+                   build_evolution_block, build_protocol_circuit,
+                   circuit_unitary, coeffs_h0, dft_real, evolution_target,
+                   evolve_exact, model_coefficients, pauli_decompose,
+                   phase_aligned_distance, probe_expectation, reconstruct,
+                   run_circuit, sample_series, spectrum_hho_paper,
+                   system_to_wires, total_hamiltonian)
 from qdosc.cli import ExperimentConfig, recover_levels
+from qdosc.qops import build_hamiltonian
 
 Q_SIX = (0.5, 0.8, 1.0, 1.2, 1.5, 2.0)
 Q_SWEEP = tuple(np.round(np.arange(0.5, 2.0001, 0.1), 12))
 
 
 def all_models(q):
-    yield "h0", model_coefficients("h0", q), build_hamiltonian("h0", 4, q)
+    yield "h0", model_coefficients("h0", q), build_hamiltonian("h0", q)
     for gamma in (0.1, 0.5, 1.0):
         yield (f"ho:{gamma}", model_coefficients("ho", q, gamma=gamma),
-               build_hamiltonian("ho", 4, q, ModelParams(gamma=gamma)))
+               build_hamiltonian("ho", q, gamma=gamma))
     for delta in (0.1, 0.5):
         yield (f"ao:{delta}", model_coefficients("ao", q, delta=delta),
-               build_hamiltonian("ao", 4, q, ModelParams(delta=delta)))
+               build_hamiltonian("ao", q, delta=delta))
 
 
 def test_undeformed_baseline_levels():
@@ -106,7 +107,7 @@ def test_probe_matches_evolution_oracle():
         model = models[rng.integers(3)]
         d = model_coefficients(model, q, gamma=rng.uniform(0.1, 1.0),
                                delta=rng.uniform(0.1, 0.5))
-        assert abs(probe_expectation(d, t) - evolve_exact(d, t)) < 1e-8
+        assert abs(probe_expectation(d, t) - evolve_exact(reconstruct(d), t)) < 1e-8
 
 
 def test_projection_round_trip_and_closed_forms():
@@ -129,7 +130,7 @@ def test_shot_noise_scale_and_level_recovery():
     d = coeffs_h0(1.0)
     shots = 1024
     for t in (0.3, 0.7, 1.1):
-        mu = evolve_exact(d, t)
+        mu = evolve_exact(reconstruct(d), t)
         vals = [probe_expectation(d, t, MeasurementConfig(shots, s))
                 for s in range(20)]
         predicted = math.sqrt((1.0 - mu * mu) / shots)

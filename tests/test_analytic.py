@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from qdosc import (ModelParams, NotBlockStructured, PauliCoefficients,
-                   build_hamiltonian, exact_diag, reconstruct, spectrum_h0,
-                   spectrum_hho_paper)
+from qdosc import (NotBlockStructured, PauliCoefficients, exact_diag, reconstruct,
+                   spectrum_h0, spectrum_hho_paper)
+from qdosc.qops import build_hamiltonian
 
 
 def test_free_levels_q1():
@@ -28,7 +28,7 @@ def test_free_levels_equal_block_solver():
     # the diagonal model is the one case where truncation is exact, so the
     # closed form and the 2x2-block eigensolve must coincide
     for q in (0.5, 0.8, 1.0, 1.2, 1.5, 2.0):
-        diag = exact_diag(build_hamiltonian("h0", 4, q))
+        diag = exact_diag(build_hamiltonian("h0", q))
         np.testing.assert_allclose(diag, spectrum_h0(q), atol=1e-13)
 
 
@@ -53,7 +53,7 @@ def test_shift_rule_values():
 def test_shift_rule_tracks_block_solver_at_weak_coupling():
     # truncation error of the quadratic model stays small for gamma = 0.1
     for q in (0.5, 1.0, 2.0):
-        exact = exact_diag(build_hamiltonian("ho", 4, q, ModelParams(gamma=0.1)))
+        exact = exact_diag(build_hamiltonian("ho", q, gamma=0.1))
         approx = spectrum_hho_paper(q, 0.1)
         rel = np.abs(approx - exact) / exact
         assert rel.max() < 0.05, f"q={q}: {rel}"
@@ -72,7 +72,7 @@ def test_block_solver_pure_coupling():
 
 
 def test_block_solver_quartic_anchor():
-    got = exact_diag(build_hamiltonian("ao", 4, 1.0, ModelParams(delta=0.1)))
+    got = exact_diag(build_hamiltonian("ao", 1.0, delta=0.1))
     np.testing.assert_allclose(
         got,
         [0.5595649110247152, 1.7709503782260843,

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qdosc import (Circuit, Gate, ModelParams, PauliCoefficients,
-                   build_evolution_block, build_hamiltonian,
+from qdosc import (Circuit, Gate, PauliCoefficients, build_evolution_block,
                    build_protocol_circuit, circuit_unitary, model_coefficients,
                    phase_aligned_distance, reconstruct, system_to_wires)
 from qdosc.circuit import _branch_angles, u_matrix

@@ -198,11 +198,14 @@ def test_empty_output_dir_exits_cleanly(tmp_path, monkeypatch, capsys):
     assert main(args + ["--out", str(afile)]) == 2
     assert main(["spectrum", "--q", "1.0", "--samples", "16",
                  "--out", str(afile / "sub")]) == 2
+    for env in (afile, afile / "sub"):
+        monkeypatch.setenv("QDOSC_OUT", str(env))
+        assert main(args + ["--out", str(tmp_path / "flag")]) == 2
     err = capsys.readouterr().err
     assert err.count("output directory must not be empty") == 3
-    assert err.count("error:") == 5
+    assert err.count("error:") == 7
     assert not any(work.iterdir())
-    assert not (tmp_path / "flag").exists()
+    assert {p.name for p in tmp_path.iterdir()} == {"work", "empty_out.cfg", "afile"}
     assert afile.read_text() == "x"
 
 
@@ -291,6 +294,12 @@ EDGE_CASES = [
     (["spectrum", "--q-grid=1:2"], None, 2),
     (["spectrum", "--samples=100"], None, 2),
     (["spectrum", f"--samples={2**21}"], None, 2),
+    # flags that conflict, and a config key given twice; a --t-max flag beats
+    # a config dt that would alias
+    (["spectrum", "--q=1.0", "--q-grid=0.5:1.0:0.5"], None, 2),
+    (["timeseries", "--dt=0.1", "--t-max=5"], None, 2),
+    (["timeseries", "--t-max=1.6"], "dt = 1e300\n", 0),
+    *_key_cases("q_grid = 1.0\n", "q_grid", ("2.0",), (2,)),
 ]
 
 

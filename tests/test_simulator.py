@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from qdosc import (Circuit, MeasurementConfig, ModelParams, StateVector,
-                   build_hamiltonian, circuit_unitary, coeffs_h0, evolve_exact,
-                   model_coefficients, probe_expectation, reconstruct,
-                   run_circuit, sample_series, total_hamiltonian)
+from qdosc import (Circuit, MeasurementConfig, StateVector, circuit_unitary,
+                   coeffs_h0, evolve_exact, model_coefficients, probe_expectation,
+                   reconstruct, run_circuit, sample_series, total_hamiltonian)
+from qdosc.qops import build_hamiltonian
 from qdosc.simulator import wire_index
 
 
@@ -144,26 +144,25 @@ class TestProbeExpectation:
             t = rng.uniform(0.0, 2.0)
             d = model_coefficients("ao", q, delta=rng.uniform(0.0, 0.5))
             assert probe_expectation(d, t) == pytest.approx(
-                evolve_exact(d, t), abs=1e-10)
+                evolve_exact(reconstruct(d), t), abs=1e-10)
 
 
 class TestEvolveExact:
     def test_frozen_anchor(self):
-        h = build_hamiltonian("h0", 4, 1.0)
+        h = build_hamiltonian("h0", 1.0)
         assert evolve_exact(h, 0.3) == pytest.approx(0.2857093886160289,
                                                      abs=1e-14)
 
     def test_input_forms_agree(self):
-        d = model_coefficients("ho", 1.2, gamma=0.5)
-        a = evolve_exact(d, 0.4)
-        assert evolve_exact(reconstruct(d), 0.4) == pytest.approx(a, abs=1e-13)
-        ham = build_hamiltonian("ho", 4, 1.2, ModelParams(gamma=0.5))
+        # the closed-form coefficients and the built matrix
+        a = evolve_exact(reconstruct(model_coefficients("ho", 1.2, gamma=0.5)), 0.4)
+        ham = build_hamiltonian("ho", 1.2, gamma=0.5)
         assert evolve_exact(ham, 0.4) == pytest.approx(a, abs=1e-13)
 
     def test_even_in_time(self):
-        d = model_coefficients("ao", 0.7, delta=0.5)
+        h = reconstruct(model_coefficients("ao", 0.7, delta=0.5))
         for t in (0.2, 0.9, 1.7):
-            assert evolve_exact(d, -t) == pytest.approx(evolve_exact(d, t),
+            assert evolve_exact(h, -t) == pytest.approx(evolve_exact(h, t),
                                                         abs=1e-14)
 
     def test_weighted_cosine_sum(self):
@@ -174,7 +173,7 @@ class TestEvolveExact:
         weights = np.abs(vecs.T @ np.full(4, 0.5)) ** 2
         for t in (0.3, 0.8, 1.9):
             expected = float(np.sum(weights * np.cos(2.0 * w * t)))
-            assert evolve_exact(d, t) == pytest.approx(expected, abs=1e-12)
+            assert evolve_exact(reconstruct(d), t) == pytest.approx(expected, abs=1e-12)
 
 
 def test_total_hamiltonian_spectrum_symmetry():

@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 
 from qdosc import (InsufficientPeaks, MeasurementConfig, NyquistViolation,
-                   Spectrum, TimeSeries, TruncatedOperator, coeffs_h0,
-                   default_dt, detect_levels, dft_real, energy_scale_estimate,
-                   match_levels, model_coefficients, sample_series,
-                   spectrum_h0)
+                   Spectrum, TimeSeries, coeffs_h0, default_dt, detect_levels,
+                   dft_real, energy_scale_estimate, match_levels,
+                   model_coefficients, sample_series, spectrum_h0)
 from qdosc.spectral import MAX_SAMPLES, check_sample_count
 
 
@@ -307,12 +306,11 @@ def test_series_is_read_only():
 
 
 def test_constructors_leave_the_callers_array_writable():
-    a, f, m = np.zeros(16), np.arange(16.0), np.eye(4)
-    frozen = (TimeSeries(0.1, a).samples, Spectrum(f, a).values,
-              TruncatedOperator(m).matrix)
-    a[0], m[0, 0] = 5.0, 2.0
+    a, f = np.zeros(16), np.arange(16.0)
+    frozen = (TimeSeries(0.1, a).samples, Spectrum(f, a).values)
+    a[0] = 5.0
     for arr in frozen:
         with pytest.raises(ValueError):
             arr[0] = 1.0
     # the fields are views, not copies
-    assert frozen[0][0] == frozen[1][0] == 5.0 and frozen[2][0, 0] == 2.0
+    assert frozen[0][0] == frozen[1][0] == 5.0

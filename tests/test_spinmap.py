@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from qdosc import (ModelParams, NotInSpinFamily, PauliCoefficients,
-                   build_hamiltonian, coeffs_h0, coeffs_hao, coeffs_hho,
-                   model_coefficients, pauli_decompose, reconstruct)
+from qdosc import (NotInSpinFamily, PauliCoefficients, coeffs_h0, coeffs_hao,
+                   coeffs_hho, model_coefficients, pauli_decompose, reconstruct)
+from qdosc.qops import build_hamiltonian
 from qdosc.spinmap import PAULI_STRINGS
 
 Q_GRID = (0.5, 0.8, 1.0, 1.2, 1.5, 2.0)
@@ -67,9 +67,9 @@ def test_closed_forms_match_projection(q):
     """Every closed-form coefficient set equals the trace projection of the
     independently built matrix."""
     cases = [
-        (coeffs_h0(q), build_hamiltonian("h0", 4, q)),
-        (coeffs_hho(q, 0.5), build_hamiltonian("ho", 4, q, ModelParams(gamma=0.5))),
-        (coeffs_hao(q, 0.5), build_hamiltonian("ao", 4, q, ModelParams(delta=0.5))),
+        (coeffs_h0(q), build_hamiltonian("h0", q)),
+        (coeffs_hho(q, 0.5), build_hamiltonian("ho", q, gamma=0.5)),
+        (coeffs_hao(q, 0.5), build_hamiltonian("ao", q, delta=0.5)),
     ]
     for closed, ham in cases:
         projected = pauli_decompose(ham)
