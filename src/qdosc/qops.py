@@ -29,7 +29,7 @@ def q_number(n: int, q: float) -> float:
     Parameters
     ----------
     n : non-negative integer order of the bracket
-    q : deformation parameter, q > 0
+    q : deformation parameter, finite and q > 0
 
     Returns
     -------
@@ -37,8 +37,9 @@ def q_number(n: int, q: float) -> float:
     """
     if n < 0 or n != int(n):
         raise ValueError(f"bracket order must be a non-negative integer, got {n}")
-    if q <= 0:
-        raise ValueError(f"deformation parameter must be positive, got {q}")
+    if not (math.isfinite(q) and q > 0):
+        raise ValueError(f"deformation parameter must be finite and positive, "
+                         f"got {q}")
     return float(sum(q**k for k in range(int(n))))
 
 

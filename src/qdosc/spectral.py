@@ -2,12 +2,15 @@
 
 The probe signal is even in t (a weighted sum of cosines at twice the
 level energies), so the transform is taken over the two-sided even
-extension of the sampled data: fold the series mod M, then one real FFT.
-That keeps every spectral line a symmetric real kernel regardless of
-where it falls between bins; the real part of a one-sided transform would
-instead carry a phase ramp that can null a half-bin-offset peak.  Bin k
-still maps to angular frequency 2 pi k / (M dt), with the upper half
-folded to negative frequencies (arrays are stored shifted, ascending).
+extension of the sampled data.  Folded mod M that extension is
+ws[j] + ws[M-j], ws the windowed series, and its DFT is exactly
+2 Re(rfft(ws))[k] - ws[0]: one real FFT of the series itself, real and
+even in k, so bins 0 .. M/2 hold all of it.  That keeps every spectral
+line a symmetric real kernel regardless of where it falls between bins;
+the real part of a one-sided transform would instead carry a phase ramp
+that can null a half-bin-offset peak.  Bin k maps to angular frequency
+2 pi k / (M dt), with the upper half mirrored to negative frequencies
+(arrays are stored shifted, ascending).
 """
 
 from __future__ import annotations
@@ -77,6 +80,11 @@ class Spectrum:
 
     def __post_init__(self):
         freeze_arrays(self, "frequencies", "values")
+        if not (self.frequencies.ndim == self.values.ndim == 1
+                and len(self.frequencies) == len(self.values)):
+            raise ValueError(f"frequencies and values must be 1-D of one "
+                             f"length, got shapes {self.frequencies.shape} "
+                             f"and {self.values.shape}")
 
     @property
     def bin_width(self) -> float:
@@ -161,35 +169,27 @@ def sample_series(d: PauliCoefficients, dt: float | None = None,
     return TimeSeries(dt=dt, samples=samples)
 
 
-def _fold_even(samples: np.ndarray, window: str) -> np.ndarray:
-    """Fold the even extension s[|j|], j = -(M-1) .. M-1, modulo M."""
-    s = np.asarray(samples, dtype=float)
-    m = len(s)
-    if window == "hann":
-        # half window, descending; its even extension is the usual bell
-        s = s * np.cos(0.5 * math.pi * np.arange(m) / m) ** 2
-    elif window != "rect":
-        raise ValueError(f"unknown window {window!r}")
-    folded = s.copy()
-    folded[1:] += s[:0:-1]
-    return folded
-
-
 def dft_real(ts: TimeSeries, window: str = "rect") -> Spectrum:
     """Real spectrum of the even extension of the series.
 
     values[k] = (1/M) sum_{j=-(M-1)}^{M-1} w(|j|) s[|j|] cos(w_k j dt)
     at w_k = 2 pi k / (M dt), returned shifted so frequencies ascend from
     -pi/dt.  A unit-amplitude on-bin cosine gives a peak value of 1 - 1/M.
-    The imaginary residue of the FFT is discarded (it is zero up to
-    rounding because the folded sequence is even modulo M).
+    With ws = w s the sum is 2 Re(rfft(ws))[k] - ws[0], the j = 0 term
+    counted once; it is even in k, so the negative-frequency half is the
+    mirror of bins 1 .. M//2.
     """
-    folded = _fold_even(ts.samples, window)
-    m = len(folded)
-    values = np.fft.fft(folded).real / m
+    s = ts.samples
+    m = len(s)
+    if window == "hann":
+        # half window, descending; its even extension is the usual bell
+        s = s * np.cos(0.5 * math.pi * np.arange(m) / m) ** 2
+    elif window != "rect":
+        raise ValueError(f"unknown window {window!r}")
+    half = (2.0 * np.fft.rfft(s).real - s[0]) / m
+    values = np.concatenate((half[m // 2:0:-1], half[:m - m // 2]))
     freqs = 2.0 * math.pi * np.fft.fftfreq(m, d=ts.dt)
-    return Spectrum(frequencies=np.fft.fftshift(freqs),
-                    values=np.fft.fftshift(values))
+    return Spectrum(frequencies=np.fft.fftshift(freqs), values=values)
 
 
 def detect_levels(spec: Spectrum, n_expected: int = 4,

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from qdosc import (build_ladder, build_padded_power, coeffs_h0, evolve_exact,
-                   exact_diag, pauli_decompose, q_number, total_hamiltonian)
+                   exact_diag, model_coefficients, pauli_decompose, q_number,
+                   total_hamiltonian)
 from qdosc.qops import build_hamiltonian
 
 SQ2 = np.sqrt(2.0)
@@ -46,6 +47,17 @@ class TestQNumber:
     def test_rejects_bad_q(self, bad_q):
         with pytest.raises(ValueError):
             q_number(3, bad_q)
+
+    @pytest.mark.parametrize("bad_q", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_q_in_every_builder(self, bad_q):
+        # a NaN q once gave a NaN bracket and an all-NaN Hamiltonian
+        with pytest.raises(ValueError, match="finite and positive"):
+            q_number(3, bad_q)
+        for model in ("h0", "ho", "ao"):
+            with pytest.raises(ValueError, match="finite and positive"):
+                build_hamiltonian(model, bad_q, gamma=0.5, delta=0.1)
+            with pytest.raises(ValueError, match="finite and positive"):
+                model_coefficients(model, bad_q, gamma=0.5, delta=0.1)
 
 
 def test_consumers_take_only_a_4x4_matrix():

@@ -117,6 +117,31 @@ class TestTransform:
         assert len(s) * np.sum(spec.values**2) == pytest.approx(
             np.sum(folded**2), rel=1e-8)
 
+    @pytest.mark.parametrize("window", ["rect", "hann"])
+    @pytest.mark.parametrize("m", [15, 16, 17, 64, 256])
+    def test_matches_the_cosine_sum(self, m, window):
+        # the docstring's two-sided sum, evaluated term by term in O(M^2)
+        dt = 0.3
+        s = np.random.default_rng(m).standard_normal(m)
+        spec = dft_real(TimeSeries(dt=dt, samples=s), window=window)
+        omega = 2.0 * math.pi * np.arange(-(m // 2), m - m // 2) / (m * dt)
+        np.testing.assert_allclose(spec.frequencies, omega, rtol=1e-15, atol=0.0)
+        j = np.arange(-(m - 1), m)
+        w = np.ones(2 * m - 1) if window == "rect" else \
+            np.cos(0.5 * math.pi * np.abs(j) / m) ** 2
+        terms = (w * s[np.abs(j)])[None, :] * np.cos(np.outer(omega, j * dt))
+        np.testing.assert_allclose(spec.values, terms.sum(axis=1) / m,
+                                   rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("window", ["rect", "hann"])
+    @pytest.mark.parametrize("m", [15, 16, 17, 64])
+    def test_spectrum_is_exactly_even(self, m, window):
+        # bin 0 of an even length is -pi/dt, which has no positive partner
+        s = np.random.default_rng(m).standard_normal(m)
+        vals = dft_real(TimeSeries(dt=0.1, samples=s), window=window).values
+        mirrored = vals[1:] if m % 2 == 0 else vals
+        assert np.array_equal(mirrored, mirrored[::-1])
+
     def test_unknown_window(self):
         with pytest.raises(ValueError):
             dft_real(TimeSeries(dt=0.1, samples=np.zeros(16)), window="flat")
@@ -303,6 +328,17 @@ def test_series_is_read_only():
     ts = TimeSeries(dt=0.1, samples=np.ones(16))
     with pytest.raises(ValueError):
         ts.samples[0] = 2.0
+
+
+def test_spectrum_needs_one_length_1d_fields():
+    # a mirror slice one bin short must fail here, not mislabel every bin
+    for freqs, vals in ((np.arange(4.0), np.arange(3.0)),
+                        (np.arange(3.0), np.arange(4.0)),
+                        (np.arange(4.0), np.zeros((2, 2))),
+                        (np.zeros((2, 2)), np.zeros((2, 2)))):
+        with pytest.raises(ValueError, match="1-D of one length"):
+            Spectrum(frequencies=freqs, values=vals)
+    Spectrum(frequencies=np.arange(4.0), values=np.zeros(4))
 
 
 def test_constructors_leave_the_callers_array_writable():
