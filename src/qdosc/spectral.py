@@ -11,10 +11,16 @@ the real part of a one-sided transform would instead carry a phase ramp
 that can null a half-bin-offset peak.  Bin k maps to angular frequency
 2 pi k / (M dt), with the upper half mirrored to negative frequencies
 (arrays are stored shifted, ascending).
+
+A long series pays for one real FFT and little else: the Hann half-window
+comes from a small cache of read-only arrays, the frequency grid is built
+directly in ascending order, and the half spectrum is scaled in place.  Spectrum requires a strictly ascending grid, so
+detection finds the positive bins as one tail and scans only that.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,6 +69,9 @@ class TimeSeries:
             raise ValueError(f"sample spacing must be finite and positive, "
                              f"got {self.dt}")
         freeze_arrays(self, "samples")
+        if self.samples.ndim != 1 or len(self.samples) < 2:
+            raise ValueError(f"time series must be 1-D with at least 2 "
+                             f"samples, got shape {self.samples.shape}")
         if not np.isfinite(self.samples).all():
             raise ValueError("time series holds non-finite samples")
 
@@ -85,6 +94,9 @@ class Spectrum:
             raise ValueError(f"frequencies and values must be 1-D of one "
                              f"length, got shapes {self.frequencies.shape} "
                              f"and {self.values.shape}")
+        # detect_levels slices the positive tail by position
+        if not (self.frequencies[1:] > self.frequencies[:-1]).all():
+            raise ValueError("frequencies must strictly ascend")
 
     @property
     def bin_width(self) -> float:
@@ -169,6 +181,17 @@ def sample_series(d: PauliCoefficients, dt: float | None = None,
     return TimeSeries(dt=dt, samples=samples)
 
 
+@functools.lru_cache(maxsize=4)
+def hann_half_window(m: int) -> np.ndarray:
+    """cos(pi j / (2m))**2 for j = 0 .. m-1: the descending half of a Hann
+    bell whose even extension spans the 2m - 1 points of dft_real's sum.
+    The array is read-only because the cache hands the same one to every
+    caller; the cache holds a few lengths, so its memory stays bounded."""
+    w = np.cos(0.5 * math.pi * np.arange(m) / m) ** 2
+    w.setflags(write=False)
+    return w
+
+
 def dft_real(ts: TimeSeries, window: str = "rect") -> Spectrum:
     """Real spectrum of the even extension of the series.
 
@@ -182,14 +205,19 @@ def dft_real(ts: TimeSeries, window: str = "rect") -> Spectrum:
     s = ts.samples
     m = len(s)
     if window == "hann":
-        # half window, descending; its even extension is the usual bell
-        s = s * np.cos(0.5 * math.pi * np.arange(m) / m) ** 2
+        s = s * hann_half_window(m)
     elif window != "rect":
         raise ValueError(f"unknown window {window!r}")
-    half = (2.0 * np.fft.rfft(s).real - s[0]) / m
+    half = np.fft.rfft(s).real
+    half *= 2.0
+    half -= s[0]
+    half /= m
     values = np.concatenate((half[m // 2:0:-1], half[:m - m // 2]))
-    freqs = 2.0 * math.pi * np.fft.fftfreq(m, d=ts.dt)
-    return Spectrum(frequencies=np.fft.fftshift(freqs), values=values)
+    # the same products as fftshift(2 pi fftfreq(m, dt)), bit for bit
+    freqs = np.arange(-(m // 2), m - m // 2, dtype=float)
+    freqs *= 1.0 / (m * ts.dt)
+    freqs *= 2.0 * math.pi
+    return Spectrum(frequencies=freqs, values=values)
 
 
 def detect_levels(spec: Spectrum, n_expected: int = 4,
@@ -205,11 +233,13 @@ def detect_levels(spec: Spectrum, n_expected: int = 4,
     InsufficientPeaks is raised.
     """
     freqs, vals = spec.frequencies, spec.values
-    pos = freqs > 0
-    floor = min_prominence * vals[pos].max()
-    # views of every inner bin and its two neighbours; no copies
-    ym, y0, yp = vals[:-2], vals[1:-1], vals[2:]
-    peaks = 1 + np.nonzero(pos[1:-1] & (y0 > ym) & (y0 > yp) & (y0 > floor))[0]
+    # the grid ascends, so the bins at w > 0 are one tail of the array
+    first = int(np.searchsorted(freqs, 0.0, side="right"))
+    floor = min_prominence * vals[first:].max()
+    lo = max(first, 1)
+    # views of every inner positive bin and its two neighbours; no copies
+    ym, y0, yp = vals[lo - 1:-2], vals[lo:-1], vals[lo + 1:]
+    peaks = lo + np.nonzero((y0 > ym) & (y0 > yp) & (y0 > floor))[0]
     if len(peaks) < n_expected:
         raise InsufficientPeaks(
             f"found {len(peaks)} peak(s) above prominence {min_prominence}, "

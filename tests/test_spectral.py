@@ -16,7 +16,7 @@ from qdosc import (InsufficientPeaks, MeasurementConfig, NyquistViolation,
                    Spectrum, TimeSeries, coeffs_h0, default_dt, detect_levels,
                    dft_real, energy_scale_estimate, match_levels,
                    model_coefficients, sample_series, spectrum_h0)
-from qdosc.spectral import MAX_SAMPLES, check_sample_count
+from qdosc.spectral import MAX_SAMPLES, check_sample_count, hann_half_window
 
 
 def make_series(freqs, m=512, dt=0.1, amps=None):
@@ -99,6 +99,33 @@ class TestTransform:
         assert spec.bin_width == pytest.approx(2.0 * math.pi / (32 * 0.5))
         assert np.all(np.diff(spec.frequencies) > 0)
         assert spec.frequencies[0] == pytest.approx(-math.pi / 0.5)
+
+    @pytest.mark.parametrize("dt", [0.1, 0.19642182613616424, 0.037, 3.0])
+    @pytest.mark.parametrize("m", [2, 15, 16, 17, 33, 4096])
+    def test_frequency_grid_is_shifted_fftfreq_bit_for_bit(self, m, dt):
+        spec = dft_real(TimeSeries(dt=dt, samples=np.ones(m)))
+        want = np.fft.fftshift(2.0 * math.pi * np.fft.fftfreq(m, d=dt))
+        assert np.array_equal(spec.frequencies, want)
+
+    @pytest.mark.parametrize("window", ["rect", "hann"])
+    @pytest.mark.parametrize("m", [15, 16, 17, 33])
+    def test_values_follow_the_docstring_bit_for_bit(self, m, window):
+        s = np.random.default_rng(m).standard_normal(m)
+        ws = s if window == "rect" else s * np.cos(0.5 * math.pi * np.arange(m) / m) ** 2
+        half = (2.0 * np.fft.rfft(ws).real - ws[0]) / m
+        want = np.concatenate((half[m // 2:0:-1], half[:m - m // 2]))
+        got = dft_real(TimeSeries(dt=0.1, samples=s), window=window).values
+        assert np.array_equal(got, want)
+
+    def test_hann_half_window_is_cached_and_read_only(self):
+        for m in (16, 17, 4096):
+            w = hann_half_window(m)
+            assert hann_half_window(m) is w
+            with pytest.raises(ValueError):
+                w[0] = 0.5
+            j = np.arange(m)
+            assert np.array_equal(w, np.cos(0.5 * math.pi * j / m) ** 2)
+        assert hann_half_window.cache_info().maxsize is not None  # bounded
 
     def test_even_in_frequency(self):
         ts = sample_series(model_coefficients("ho", 1.3, gamma=0.5), m=64)
@@ -218,6 +245,28 @@ class TestDetectLevels:
                     assert np.array_equal(lv.levels, want[0])
                     assert np.array_equal(lv.heights, want[1])
 
+    def test_grid_starting_at_zero(self):
+        # the first positive bin is index 1, the first the peak rule may
+        # take; the w = 0 bin sets no floor, even when it is the tallest
+        rng = np.random.default_rng(12)
+        for m in (16, 17, 512):
+            freqs = 0.25 * np.arange(m)
+            for head in ((5.0, 50.0), (100.0, 50.0)):
+                for vals in (rng.normal(size=m), np.round(rng.normal(size=m), 1)):
+                    vals[:2] = head
+                    spec = Spectrum(frequencies=freqs, values=vals)
+                    for n in (1, 3):
+                        for prominence in (0.05, 0.5):
+                            want = loop_detect(spec, n, prominence)
+                            if want is None:
+                                with pytest.raises(InsufficientPeaks):
+                                    detect_levels(spec, n, prominence)
+                                continue
+                            lv = detect_levels(spec, n, prominence)
+                            assert np.array_equal(lv.levels, want[0])
+                            assert np.array_equal(lv.heights, want[1])
+                            assert (50.0 in lv.heights) == (head[0] < 50.0)
+
     def test_equal_heights_keep_the_lower_frequency(self):
         spec = spikes({10: 1.0, 13: 1.0})
         lv = detect_levels(spec, n_expected=1, min_prominence=0.5)
@@ -324,6 +373,13 @@ def test_series_rejects_non_finite_input():
             TimeSeries(dt=dt, samples=good.samples)
 
 
+@pytest.mark.parametrize("samples", [np.zeros(0), np.ones(1), np.ones((2, 8))])
+def test_series_needs_two_samples_on_one_axis(samples):
+    with pytest.raises(ValueError, match=r"^time series must be 1-D with at "
+                                         r"least 2 samples, got shape \("):
+        TimeSeries(dt=0.1, samples=samples)
+
+
 def test_series_is_read_only():
     ts = TimeSeries(dt=0.1, samples=np.ones(16))
     with pytest.raises(ValueError):
@@ -339,6 +395,13 @@ def test_spectrum_needs_one_length_1d_fields():
         with pytest.raises(ValueError, match="1-D of one length"):
             Spectrum(frequencies=freqs, values=vals)
     Spectrum(frequencies=np.arange(4.0), values=np.zeros(4))
+
+
+@pytest.mark.parametrize("freqs", [np.arange(4.0)[::-1], np.array([0.0, 1.0, 1.0, 2.0])])
+def test_spectrum_needs_a_strictly_ascending_grid(freqs):
+    # detect_levels takes the bins at w > 0 as one tail of the array
+    with pytest.raises(ValueError, match="^frequencies must strictly ascend$"):
+        Spectrum(frequencies=freqs, values=np.zeros(4))
 
 
 def test_constructors_leave_the_callers_array_writable():
