@@ -12,12 +12,12 @@ from .analytic import NotBlockStructured, exact_diag, spectrum_h0, spectrum_hho_
 from .circuit import (Circuit, Gate, build_evolution_block, build_protocol_circuit,
                       circuit_unitary, phase_aligned_distance, system_to_wires)
 from .qops import build_ladder, build_padded_power, q_number
-from .simulator import (MeasurementConfig, StateVector, evolution_target,
-                        evolve_exact, probe_expectation, run_circuit,
-                        total_hamiltonian)
-from .spectral import (EnergyLevels, InsufficientPeaks, NyquistViolation, Spectrum,
-                       TimeSeries, default_dt, detect_levels, dft_real,
-                       energy_scale_estimate, match_levels, sample_series)
+from .simulator import (StateVector, evolution_target, evolve_exact,
+                        probe_expectation, run_circuit, total_hamiltonian)
+from .spectral import (EnergyLevels, InsufficientPeaks, MeasurementConfig,
+                       NyquistViolation, Spectrum, TimeSeries, default_dt,
+                       detect_levels, dft_real, energy_scale_estimate,
+                       match_levels, sample_series)
 from .spinmap import (NotInSpinFamily, PauliCoefficients, coeffs_h0, coeffs_hao,
                       coeffs_hho, model_coefficients, pauli_decompose, reconstruct)
 # the package-level build_hamiltonian is the old (model, 4, q, ModelParams)

@@ -15,10 +15,11 @@ from . import __version__
 from .analytic import exact_diag, spectrum_h0, spectrum_hho_paper
 from .circuit import build_evolution_block, circuit_unitary, phase_aligned_distance
 from .qops import MODELS, build_hamiltonian, check_couplings
-from .simulator import MeasurementConfig, evolution_target, evolve_exact, probe_expectation
-from .spectral import (InsufficientPeaks, _write_csv, check_sample_count,
-                       default_samples, detect_levels, dft_real,
-                       energy_scale_estimate, match_levels, sample_series)
+from .simulator import evolution_target, evolve_exact, probe_expectation
+from .spectral import (InsufficientPeaks, MeasurementConfig, _write_csv,
+                       check_sample_count, default_samples, detect_levels,
+                       dft_real, energy_scale_estimate, match_levels,
+                       sample_series)
 from .spinmap import PauliCoefficients, model_coefficients, pauli_decompose, reconstruct
 
 OUTDIR_ENV = "QDOSC_OUT"

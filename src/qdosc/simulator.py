@@ -1,4 +1,4 @@
-"""Statevector engine and the exact-evolution oracle.
+"""Statevector engine, exact probe readout and the exact-evolution oracle.
 
 Amplitudes are stored with qubit 0 as the most significant bit, matching
 the index embedding in the circuit module.  Gates are applied one at a
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,41 +76,14 @@ def run_circuit(circ: Circuit, state: StateVector | None = None) -> StateVector:
     return state
 
 
-@dataclass(frozen=True)
-class MeasurementConfig:
-    """Readout: exact probe expectation (shots None), or a seeded shot count."""
+def probe_expectation(d: PauliCoefficients, t: float) -> float:
+    """Exact probe observable at time t, read off the compiled protocol circuit.
 
-    shots: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        # the binomial draw takes the count as a C int64
-        if self.shots is not None and not 0 < self.shots <= np.iinfo(np.int64).max:
-            raise ValueError(f"shot count must be between 1 and 2**63 - 1, got {self.shots}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-
-
-def probe_expectation(d: PauliCoefficients, t: float,
-                      cfg: MeasurementConfig | None = None,
-                      rng: np.random.Generator | None = None) -> float:
-    """Probe observable at time t, read off the compiled protocol circuit.
-
-    Exact readout (cfg.shots None) returns <Z> of q0 after the final basis
-    rotation, which equals the probe x-expectation under the evolution.
-    Shot readout draws the q0 outcome counts from a binomial with the exact
-    probability and returns (N0 - N1)/S; a fresh generator is seeded from
-    cfg.seed unless one is passed in (sample_series threads a single
-    generator through the whole series).
+    Returns <Z> of q0 after the final basis rotation, which equals the
+    probe x-expectation under the evolution.  Shot readout is a separate
+    step over a whole series (spectral.sample_series).
     """
-    cfg = cfg or MeasurementConfig()
-    state = run_circuit(build_protocol_circuit(d, t))
-    if cfg.shots is None:
-        return state.expect_z(0)
-    p0 = min(1.0, max(0.0, state.probability(0, 0)))
-    gen = rng if rng is not None else np.random.default_rng(cfg.seed)
-    n0 = gen.binomial(cfg.shots, p0)
-    return (2.0 * n0 - cfg.shots) / cfg.shots
+    return run_circuit(build_protocol_circuit(d, t)).expect_z(0)
 
 
 def total_hamiltonian(h) -> np.ndarray:

@@ -14,8 +14,9 @@ that can null a half-bin-offset peak.  Bin k maps to angular frequency
 
 A long series pays for one real FFT and little else: the Hann half-window
 comes from a small cache of read-only arrays, the frequency grid is built
-directly in ascending order, and the half spectrum is scaled in place.  Spectrum requires a strictly ascending grid, so
-detection finds the positive bins as one tail and scans only that.
+directly in ascending order, and the half spectrum is scaled in place.
+Spectrum requires a strictly ascending grid, so detection finds the
+positive bins as one tail and scans only that.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import MeasurementConfig, probe_expectation
+from .simulator import probe_expectation
 from .spinmap import PauliCoefficients
 
 DEFAULT_SAMPLES_EXACT = 4096
@@ -49,6 +50,21 @@ def freeze_arrays(obj, *names: str) -> None:
         view = np.asarray(getattr(obj, name), dtype=float).view()
         view.setflags(write=False)
         object.__setattr__(obj, name, view)
+
+
+@dataclass(frozen=True)
+class MeasurementConfig:
+    """Readout: exact probe expectation (shots None), or a seeded shot count."""
+
+    shots: int | None = None
+    seed: int = 0
+
+    def __post_init__(self):
+        # the binomial draw takes the count as a C int64
+        if self.shots is not None and not 0 < self.shots <= np.iinfo(np.int64).max:
+            raise ValueError(f"shot count must be between 1 and 2**63 - 1, got {self.shots}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 class NyquistViolation(ValueError):
@@ -158,8 +174,9 @@ def sample_series(d: PauliCoefficients, dt: float | None = None,
     """Probe expectation sampled at t_j = j dt for j = 0 .. m-1.
 
     Refuses spacings that alias the estimated top frequency: requires
-    pi/dt > 2 sum|d_i|, and that estimate finite.  With shot readout one
-    seeded generator is advanced across the series so the draws are
+    pi/dt > 2 sum|d_i|, and that estimate finite.  Shot readout is one
+    draw over the exact series z: q0 = 0 counts N0 ~ Binomial(S, (1 + z)/2)
+    from default_rng(cfg.seed), read out as (2 N0 - S)/S, so the draws are
     independent sample to sample yet fully reproducible from cfg.seed.
     """
     cfg = cfg or MeasurementConfig()
@@ -175,9 +192,11 @@ def sample_series(d: PauliCoefficients, dt: float | None = None,
         raise NyquistViolation(
             f"dt={dt} gives bandwidth {math.pi / dt:.4g} <= estimated top "
             f"frequency {top:.4g}")
-    rng = None if cfg.shots is None else np.random.default_rng(cfg.seed)
-    samples = np.array([probe_expectation(d, j * dt, cfg, rng=rng)
-                        for j in range(m)])
+    samples = np.array([probe_expectation(d, j * dt) for j in range(m)])
+    if cfg.shots is not None:
+        p0 = np.clip(0.5 * (1.0 + samples), 0.0, 1.0)
+        n0 = np.random.default_rng(cfg.seed).binomial(cfg.shots, p0)
+        samples = (2.0 * n0 - cfg.shots) / cfg.shots
     return TimeSeries(dt=dt, samples=samples)
 
 
@@ -235,6 +254,8 @@ def detect_levels(spec: Spectrum, n_expected: int = 4,
     freqs, vals = spec.frequencies, spec.values
     # the grid ascends, so the bins at w > 0 are one tail of the array
     first = int(np.searchsorted(freqs, 0.0, side="right"))
+    if first == len(freqs):
+        raise InsufficientPeaks("spectrum has no positive-frequency bin")
     floor = min_prominence * vals[first:].max()
     lo = max(first, 1)
     # views of every inner positive bin and its two neighbours; no copies

@@ -129,10 +129,12 @@ def test_shot_noise_scale_and_level_recovery():
     and 1024-shot spectroscopy still lands within 5e-2 of the true levels."""
     d = coeffs_h0(1.0)
     shots = 1024
-    for t in (0.3, 0.7, 1.1):
-        mu = evolve_exact(reconstruct(d), t)
-        vals = [probe_expectation(d, t, MeasurementConfig(shots, s))
-                for s in range(20)]
+    dt = 0.05
+    series = [sample_series(d, dt=dt, m=32, cfg=MeasurementConfig(shots, s)).samples
+              for s in range(20)]
+    for t, j in ((0.3, 6), (0.7, 14), (1.1, 22)):
+        mu = evolve_exact(reconstruct(d), j * dt)
+        vals = [s[j] for s in series]
         predicted = math.sqrt((1.0 - mu * mu) / shots)
         ratio = np.std(vals, ddof=1) / predicted
         assert 0.75 < ratio < 1.25, f"t={t}: std ratio {ratio:.3f}"

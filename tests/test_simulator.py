@@ -231,13 +231,23 @@ class TestShots:
 
     def test_certain_outcome_stays_exact(self):
         # t = 0 prepares the probe in the +1 eigenstate, so every shot agrees
-        val = probe_expectation(coeffs_h0(1.0), 0.0,
-                                MeasurementConfig(128, seed=0))
-        assert val == 1.0
+        ts = sample_series(coeffs_h0(1.0), dt=0.3, m=16,
+                           cfg=MeasurementConfig(128, seed=0))
+        assert ts.samples[0] == 1.0
 
     def test_mean_converges_to_exact_value(self):
+        # sample 1 of a dt = 0.3 series is read at t = 0.3
         d = coeffs_h0(1.0)
         mu = evolve_exact(reconstruct(d), 0.3)
-        means = [probe_expectation(d, 0.3, MeasurementConfig(4096, s))
+        means = [sample_series(d, dt=0.3, m=16,
+                               cfg=MeasurementConfig(4096, s)).samples[1]
                  for s in range(40)]
         assert abs(np.mean(means) - mu) < 0.01
+
+    def test_shot_series_is_one_draw_over_the_exact_series(self):
+        d = model_coefficients("ao", 1.3, delta=0.3)
+        dt, m, shots, seed = 0.04, 64, 1024, 7
+        z = sample_series(d, dt=dt, m=m).samples
+        n0 = np.random.default_rng(seed).binomial(shots, np.clip((1 + z) / 2, 0, 1))
+        ts = sample_series(d, dt=dt, m=m, cfg=MeasurementConfig(shots, seed))
+        np.testing.assert_array_equal(ts.samples, (2 * n0 - shots) / shots)

@@ -296,6 +296,13 @@ class TestDetectLevels:
         with pytest.raises(InsufficientPeaks):
             detect_levels(spec, n_expected=2, min_prominence=0.5)
 
+    @pytest.mark.parametrize("freqs", [np.arange(-4.0, 0.0), np.arange(-4.0, 1.0)])
+    def test_spectrum_without_a_positive_bin(self, freqs):
+        # the second grid ends at w = 0, which is not a positive bin either
+        spec = Spectrum(freqs, np.zeros(len(freqs)))
+        with pytest.raises(InsufficientPeaks, match="no positive-frequency bin"):
+            detect_levels(spec)
+
     def test_undeformed_reference_case(self):
         ts = sample_series(coeffs_h0(1.0), dt=0.05, m=4096)
         lv = detect_levels(dft_real(ts), n_expected=4)
