@@ -118,8 +118,8 @@ class Circuit:
 
     def add(self, kind: str, params: tuple[float, ...], qubits: tuple[int, ...]):
         g = Gate(kind, tuple(float(x) for x in params), tuple(qubits))
-        if max(g.qubits) >= self.n_qubits:
-            raise ValueError(f"gate {g} exceeds register of {self.n_qubits} qubits")
+        if min(g.qubits) < 0 or max(g.qubits) >= self.n_qubits:
+            raise ValueError(f"gate {g} lies outside the register of {self.n_qubits} qubits")
         self.gates.append(g)
         return self
 

@@ -5,8 +5,8 @@ the index embedding in the circuit module.  Gates are applied one at a
 time directly to the state (cost O(2^n) per gate); the full unitary is
 never materialized here.  Every gate kind follows one rule: gather the
 amplitudes into rows by the values of the gate's qubits (wire_index), and
-multiply those rows by the gate's local matrix.  All functions are pure
-apart from the explicit in-place methods on StateVector, so independent
+multiply those rows by the gate's local matrix.  A state is a plain
+complex array of 2^n amplitudes.  Every function is pure, so independent
 runs can proceed concurrently; the cached index arrays are read-only.
 """
 
@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .circuit import CONTROLLED, Circuit, Gate, build_protocol_circuit, system_to_wires
+from .circuit import CONTROLLED, Circuit, build_protocol_circuit, system_to_wires
 from .qops import as_matrix
 from .spinmap import PauliCoefficients, reconstruct
 
@@ -40,40 +40,34 @@ def wire_index(qubits: tuple[int, ...], controlled: bool, n: int) -> np.ndarray:
     return idx
 
 
-class StateVector:
-    """Mutable register state of n qubits."""
-
-    def __init__(self, n_qubits: int, amps: np.ndarray | None = None):
-        self.n_qubits = n_qubits
-        if amps is None:
-            amps = np.zeros(1 << n_qubits, dtype=complex)
-            amps[0] = 1.0
-        else:
-            amps = np.asarray(amps, dtype=complex).reshape(1 << n_qubits).copy()
-        self.amps = amps
-
-    def apply(self, gate: Gate) -> None:
-        """Apply one gate in place: its local matrix (Gate.local_matrix)
-        times the amplitude rows of its qubits (wire_index)."""
-        idx = wire_index(gate.qubits, gate.kind in CONTROLLED, self.n_qubits)
-        self.amps[idx] = gate.local_matrix() @ self.amps[idx]
-
-    def probability(self, qubit: int, value: int) -> float:
-        rows = wire_index((qubit,), False, self.n_qubits)
-        return float(np.sum(np.abs(self.amps[rows[value]]) ** 2))
-
-    def expect_z(self, qubit: int) -> float:
-        return self.probability(qubit, 0) - self.probability(qubit, 1)
-
-
-def run_circuit(circ: Circuit, state: StateVector | None = None) -> StateVector:
-    """Apply every gate in order to the given state (default |0...0>)."""
-    state = state if state is not None else StateVector(circ.n_qubits)
-    if state.n_qubits != circ.n_qubits:
-        raise ValueError(f"state has {state.n_qubits} qubits, circuit {circ.n_qubits}")
+def run_circuit(circ: Circuit, amps: np.ndarray | None = None) -> np.ndarray:
+    """Amplitudes after every gate in order, from a copy of amps (default
+    |0...0>); each gate's local matrix (Gate.local_matrix) multiplies the
+    amplitude rows of its qubits (wire_index).  amps is never written."""
+    n = circ.n_qubits
+    if amps is None:
+        out = np.zeros(1 << n, dtype=complex)
+        out[0] = 1.0
+    else:
+        out = np.array(amps, dtype=complex)
+        if out.shape != (1 << n,):
+            raise ValueError(f"{n}-qubit circuit needs {1 << n} "
+                             f"amplitudes, got shape {out.shape}")
     for g in circ.gates:
-        state.apply(g)
-    return state
+        idx = wire_index(g.qubits, g.kind in CONTROLLED, n)
+        out[idx] = g.local_matrix() @ out[idx]
+    return out
+
+
+def expect_z(amps: np.ndarray, qubit: int) -> float:
+    """<Z> of one qubit: the weight on its 0 rows minus that on its 1 rows."""
+    amps = np.asarray(amps)
+    n = amps.size.bit_length() - 1
+    if amps.shape != (1 << n,) or not 0 <= qubit < n:
+        raise ValueError(f"no qubit {qubit} in amplitudes of shape {amps.shape}")
+    p0, p1 = (float(np.sum(np.abs(amps[row]) ** 2))
+              for row in wire_index((qubit,), False, n))
+    return p0 - p1
 
 
 def probe_expectation(d: PauliCoefficients, t: float) -> float:
@@ -83,7 +77,7 @@ def probe_expectation(d: PauliCoefficients, t: float) -> float:
     probe x-expectation under the evolution.  Shot readout is a separate
     step over a whole series (spectral.sample_series).
     """
-    return run_circuit(build_protocol_circuit(d, t)).expect_z(0)
+    return expect_z(run_circuit(build_protocol_circuit(d, t)), 0)
 
 
 def total_hamiltonian(h) -> np.ndarray:

@@ -106,10 +106,10 @@ class Spectrum:
     def __post_init__(self):
         freeze_arrays(self, "frequencies", "values")
         if not (self.frequencies.ndim == self.values.ndim == 1
-                and len(self.frequencies) == len(self.values)):
+                and len(self.frequencies) == len(self.values) >= 2):
             raise ValueError(f"frequencies and values must be 1-D of one "
-                             f"length, got shapes {self.frequencies.shape} "
-                             f"and {self.values.shape}")
+                             f"length, at least 2 bins, got shapes "
+                             f"{self.frequencies.shape} and {self.values.shape}")
         # detect_levels slices the positive tail by position
         if not (self.frequencies[1:] > self.frequencies[:-1]).all():
             raise ValueError("frequencies must strictly ascend")

@@ -125,19 +125,27 @@ def test_projection_round_trip_and_closed_forms():
 
 
 def test_shot_noise_scale_and_level_recovery():
-    """Finite-shot readout: the empirical spread follows sqrt((1-mu^2)/S),
-    and 1024-shot spectroscopy still lands within 5e-2 of the true levels."""
+    """Finite-shot readout: the spread about the exact value mu follows
+    sqrt((1-mu^2)/S), and 1024-shot spectroscopy still lands within 5e-2 of
+    the true levels.
+
+    The spread is pooled over 20 seeds and every noisy sample of one
+    32-sample series: about 620 deviations, so the rms of z reads 1 within
+    about 3% (one sigma), and the window is about 5 sigma wide.
+    """
     d = coeffs_h0(1.0)
     shots = 1024
     dt = 0.05
-    series = [sample_series(d, dt=dt, m=32, cfg=MeasurementConfig(shots, s)).samples
-              for s in range(20)]
-    for t, j in ((0.3, 6), (0.7, 14), (1.1, 22)):
-        mu = evolve_exact(reconstruct(d), j * dt)
-        vals = [s[j] for s in series]
-        predicted = math.sqrt((1.0 - mu * mu) / shots)
-        ratio = np.std(vals, ddof=1) / predicted
-        assert 0.75 < ratio < 1.25, f"t={t}: std ratio {ratio:.3f}"
+    mu = sample_series(d, dt=dt, m=32).samples
+    series = np.array([sample_series(d, dt=dt, m=32,
+                                     cfg=MeasurementConfig(shots, s)).samples
+                       for s in range(20)])
+    # t = 0 reads 1 up to rounding: a certain outcome, with no noise to scale
+    noisy = np.abs(mu) < 1.0 - 1e-12
+    assert noisy.sum() == 31
+    z = (series[:, noisy] - mu[noisy]) / np.sqrt((1.0 - mu[noisy] ** 2) / shots)
+    rms = math.sqrt(np.mean(z ** 2))
+    assert 0.85 < rms < 1.15, f"pooled noise scale {rms:.3f}"
 
     cfg = ExperimentConfig(samples=8192, shots=shots, seed=0)
     _, lv, _, _ = recover_levels(cfg, 1.0)
@@ -159,8 +167,8 @@ def test_invariant_suite():
 
     # norm preservation through a full protocol run
     d = model_coefficients("ao", 1.3, delta=0.5)
-    state = run_circuit(build_protocol_circuit(d, 0.9))
-    assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-12
+    amps = run_circuit(build_protocol_circuit(d, 0.9))
+    assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
 
     # the probe coupling symmetrizes the 8-level spectrum about zero
     for model, kw in (("h0", {}), ("ho", {"gamma": 1.0}), ("ao", {"delta": 0.5})):

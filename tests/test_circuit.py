@@ -86,6 +86,11 @@ class TestGateValidation:
     def test_register_bound(self):
         with pytest.raises(ValueError):
             Circuit(2).add("H", (), (2,))
+        # numpy would read -1 as qubit 2 and -3 as qubit 0
+        with pytest.raises(ValueError, match="outside the register"):
+            Circuit(3).add("H", (), (-1,))
+        with pytest.raises(ValueError, match="outside the register"):
+            Circuit(3).add("CX", (), (-3, 0))
 
 
 def test_embedding_anchors():

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from qdosc import (Circuit, MeasurementConfig, StateVector, circuit_unitary,
-                   coeffs_h0, evolve_exact, model_coefficients, probe_expectation,
+from qdosc import (Circuit, MeasurementConfig, circuit_unitary, coeffs_h0,
+                   evolve_exact, expect_z, model_coefficients, probe_expectation,
                    reconstruct, run_circuit, sample_series, total_hamiltonian)
 from qdosc.qops import build_hamiltonian
 from qdosc.simulator import wire_index
@@ -34,19 +34,38 @@ def random_state(rng, n_qubits=3) -> np.ndarray:
 
 
 def test_default_state_is_ground():
-    sv = StateVector(3)
-    assert sv.amps[0] == 1.0 and np.all(sv.amps[1:] == 0.0)
+    amps = run_circuit(Circuit(3))
+    assert amps.shape == (8,) and amps.dtype == complex
+    assert amps[0] == 1.0 and np.all(amps[1:] == 0.0)
+
+
+def test_run_returns_a_fresh_array_and_leaves_its_input():
+    rng = np.random.default_rng(103)
+    psi0 = random_state(rng)
+    before = psi0.copy()
+    circ = random_circuit(rng)
+    out = run_circuit(circ, psi0)
+    assert out is not psi0 and not np.shares_memory(out, psi0)
+    np.testing.assert_array_equal(psi0, before)
+    # the empty circuit still copies, so writing its result spares the input
+    same = run_circuit(Circuit(3), psi0)
+    np.testing.assert_array_equal(same, psi0)
+    same[0] = 7.0
+    np.testing.assert_array_equal(psi0, before)
+    # a read-only input is accepted, since it is only read
+    psi0.setflags(write=False)
+    np.testing.assert_array_equal(run_circuit(circ, psi0), out)
 
 
 def test_engine_matches_dense_embedding():
-    """Random sequences of every gate kind, applied in place, must equal
-    the dense unitary route."""
+    """Random sequences of every gate kind, applied one at a time, must
+    equal the dense unitary route."""
     rng = np.random.default_rng(99)
     for _ in range(10):
         circ = random_circuit(rng)
         psi0 = random_state(rng)
-        out = run_circuit(circ, StateVector(3, psi0))
-        np.testing.assert_allclose(out.amps, circuit_unitary(circ) @ psi0,
+        out = run_circuit(circ, psi0)
+        np.testing.assert_allclose(out, circuit_unitary(circ) @ psi0,
                                    atol=1e-12)
 
 
@@ -63,7 +82,7 @@ def test_every_gate_matches_dense_embedding(kind, nparams, qubits, n):
     circ = Circuit(n).add(kind, tuple(rng.uniform(-math.pi, math.pi, size=nparams)),
                           qubits)
     psi0 = random_state(rng, n)
-    out = run_circuit(circ, StateVector(n, psi0)).amps
+    out = run_circuit(circ, psi0)
     expected = circuit_unitary(circ) @ psi0
     if kind == "CX":  # a permutation of the amplitudes, so exact
         np.testing.assert_array_equal(out, expected)
@@ -74,24 +93,21 @@ def test_every_gate_matches_dense_embedding(kind, nparams, qubits, n):
 def test_engine_preserves_norm():
     rng = np.random.default_rng(100)
     for _ in range(5):
-        out = run_circuit(random_circuit(rng), StateVector(3, random_state(rng)))
-        assert np.linalg.norm(out.amps) == pytest.approx(1.0, abs=1e-12)
+        out = run_circuit(random_circuit(rng), random_state(rng))
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_readout_matches_dense_state(n):
-    """probability and expect_z against sums over the flat amplitudes,
-    qubit 0 being the most significant bit."""
+    """expect_z against sums over the flat amplitudes, qubit 0 being the
+    most significant bit."""
     rng = np.random.default_rng(102)
     psi = random_state(rng, n)
-    sv = StateVector(n, psi)
     bits = np.arange(1 << n)
     for qubit in range(n):
         one = (bits >> (n - 1 - qubit)) & 1 == 1
         p1 = float(np.sum(np.abs(psi[one]) ** 2))
-        assert sv.probability(qubit, 1) == pytest.approx(p1, abs=1e-14)
-        assert sv.probability(qubit, 0) == pytest.approx(1.0 - p1, abs=1e-14)
-        assert sv.expect_z(qubit) == pytest.approx(1.0 - 2.0 * p1, abs=1e-14)
+        assert expect_z(psi, qubit) == pytest.approx(1.0 - 2.0 * p1, abs=1e-14)
 
 
 def test_wire_index_layout_and_read_only():
@@ -108,18 +124,24 @@ def test_wire_index_layout_and_read_only():
 
 
 def test_qubit_count_mismatch():
-    with pytest.raises(ValueError):
-        run_circuit(Circuit(3), StateVector(2))
+    for amps in (run_circuit(Circuit(2)), np.zeros(6), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="3-qubit circuit needs 8"):
+            run_circuit(Circuit(3), amps)
 
 
-def test_probability_and_expectation():
-    sv = StateVector(2)
-    assert sv.probability(0, 0) == pytest.approx(1.0)
-    assert sv.expect_z(0) == pytest.approx(1.0)
-    run_circuit(Circuit(2).add("H", (), (0,)), sv)
-    assert sv.probability(0, 0) == pytest.approx(0.5)
-    assert sv.expect_z(0) == pytest.approx(0.0, abs=1e-15)
-    assert sv.probability(0, 0) + sv.probability(0, 1) == pytest.approx(1.0)
+def test_expectation_before_and_after_a_gate():
+    amps = run_circuit(Circuit(2))
+    assert expect_z(amps, 0) == pytest.approx(1.0)
+    amps = run_circuit(Circuit(2).add("H", (), (0,)), amps)
+    assert expect_z(amps, 0) == pytest.approx(0.0, abs=1e-15)
+    assert expect_z(amps, 1) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("amps, qubit", [(np.ones(8), 3), (np.ones(8), -1),
+                                         (np.ones(6), 0), (np.ones((2, 2)), 0)])
+def test_expectation_needs_a_qubit_of_the_register(amps, qubit):
+    with pytest.raises(ValueError, match="no qubit"):
+        expect_z(amps, qubit)
 
 
 class TestProbeExpectation:

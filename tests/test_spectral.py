@@ -398,7 +398,9 @@ def test_spectrum_needs_one_length_1d_fields():
     for freqs, vals in ((np.arange(4.0), np.arange(3.0)),
                         (np.arange(3.0), np.arange(4.0)),
                         (np.arange(4.0), np.zeros((2, 2))),
-                        (np.zeros((2, 2)), np.zeros((2, 2)))):
+                        (np.zeros((2, 2)), np.zeros((2, 2))),
+                        # bin_width needs two bins
+                        (np.zeros(0), np.zeros(0)), (np.zeros(1), np.ones(1))):
         with pytest.raises(ValueError, match="1-D of one length"):
             Spectrum(frequencies=freqs, values=vals)
     Spectrum(frequencies=np.arange(4.0), values=np.zeros(4))
