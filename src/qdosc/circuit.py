@@ -53,19 +53,28 @@ def system_to_wires(m: np.ndarray) -> np.ndarray:
     return np.asarray(m)[np.ix_(p, p)]
 
 
-#: parameterless gate matrices; local_matrix hands out copies
-H_MATRIX = np.array([[1, 1], [1, -1]]) / np.sqrt(2) + 0j
-X_MATRIX = np.array([[0, 1], [1, 0]]) + 0j
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+#: parameterless gate rows, shared by every caller since tuples are immutable
+H_ROWS = ((complex(_INV_SQRT2), complex(_INV_SQRT2)),
+          (complex(_INV_SQRT2), complex(-_INV_SQRT2)))
+X_ROWS = ((0j, 1 + 0j), (1 + 0j, 0j))
 
 
-def u_matrix(theta: float, phi: float, lam: float, chi: float = 0.0) -> np.ndarray:
-    """Phased standard gate e^{i chi} U(theta, phi, lam)."""
+def u_rows(theta: float, phi: float, lam: float,
+           chi: float = 0.0) -> tuple[tuple[complex, complex], ...]:
+    """Rows of the phased standard gate e^{i chi} U(theta, phi, lam)."""
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     g = cmath.exp(1j * chi)
-    return np.array([
-        [g * c, g * (-cmath.exp(1j * lam) * s)],
-        [g * (cmath.exp(1j * phi) * s), g * (cmath.exp(1j * (phi + lam)) * c)],
-    ])
+    return ((g * c, g * (-cmath.exp(1j * lam) * s)),
+            (g * (cmath.exp(1j * phi) * s), g * (cmath.exp(1j * (phi + lam)) * c)))
+
+
+def check_register(qubits: tuple[int, ...], n: int) -> None:
+    """Raise ValueError unless every qubit lies in [0, n): numpy would
+    read a negative qubit as an axis counted from the end."""
+    if not all(0 <= q < n for q in qubits):
+        raise ValueError(f"qubits {tuple(qubits)} lie outside the register "
+                         f"of {n} qubits")
 
 
 @dataclass(frozen=True)
@@ -92,23 +101,29 @@ class Gate:
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"repeated qubit in {self.qubits}")
 
-    def local_matrix(self) -> np.ndarray:
-        """Gate matrix on its own qubits: 2x2, or 4x4 for ZZ; for controlled
-        kinds this is the 2x2 applied to the target when the control is 1."""
+    def rows(self) -> tuple[tuple[complex, ...], ...]:
+        """Gate matrix on its own qubits as rows of Python complex: 2x2, or
+        4x4 for ZZ; for controlled kinds this is the 2x2 applied to the
+        target when the control is 1.  The one closed form of each kind."""
         k, p = self.kind, self.params
         if k == "H":
-            return H_MATRIX.copy()
+            return H_ROWS
         if k == "RZ":
-            return np.array([[cmath.exp(-0.5j * p[0]), 0], [0, cmath.exp(0.5j * p[0])]])
+            return ((cmath.exp(-0.5j * p[0]), 0j), (0j, cmath.exp(0.5j * p[0])))
         if k == "RY":
             c, s = math.cos(p[0] / 2.0), math.sin(p[0] / 2.0)
-            return np.array([[c, -s], [s, c]], dtype=complex)
+            return ((complex(c), complex(-s)), (complex(s), complex(c)))
         if k == "ZZ":
             lo, hi = cmath.exp(-0.5j * p[0]), cmath.exp(0.5j * p[0])
-            return np.diag([lo, hi, hi, lo])
+            return ((lo, 0j, 0j, 0j), (0j, hi, 0j, 0j),
+                    (0j, 0j, hi, 0j), (0j, 0j, 0j, lo))
         if k == "CX":
-            return X_MATRIX.copy()
-        return u_matrix(*p)  # U, or GU with its phase chi
+            return X_ROWS
+        return u_rows(*p)  # U, or GU with its phase chi
+
+    def local_matrix(self) -> np.ndarray:
+        """rows() as a fresh complex array."""
+        return np.array(self.rows())
 
 
 @dataclass
@@ -116,10 +131,15 @@ class Circuit:
     n_qubits: int
     gates: list[Gate] = field(default_factory=list)
 
+    def __post_init__(self):
+        if self.n_qubits < 0:
+            raise ValueError(f"register size must be >= 0, got {self.n_qubits}")
+        for g in self.gates:
+            check_register(g.qubits, self.n_qubits)
+
     def add(self, kind: str, params: tuple[float, ...], qubits: tuple[int, ...]):
-        g = Gate(kind, tuple(float(x) for x in params), tuple(qubits))
-        if min(g.qubits) < 0 or max(g.qubits) >= self.n_qubits:
-            raise ValueError(f"gate {g} lies outside the register of {self.n_qubits} qubits")
+        g = Gate(kind, tuple(map(float, params)), tuple(qubits))
+        check_register(g.qubits, self.n_qubits)
         self.gates.append(g)
         return self
 
@@ -190,15 +210,17 @@ def build_evolution_block(d: PauliCoefficients, t: float) -> Circuit:
     return circ
 
 
+# the protocol gates that depend on neither the coefficients nor t;
+# gates are immutable, so every circuit can share them
+_PLUS_STATE = tuple(Gate("H", (), (qb,)) for qb in range(3))
+_PROBE_ROTATION = Gate("RY", (-math.pi / 2.0,), (0,))
+
+
 def build_protocol_circuit(d: PauliCoefficients, t: float) -> Circuit:
     """Full probe protocol: plus-state preparation on all wires, the
     evolution block, and the probe basis rotation before readout."""
-    circ = Circuit(3)
-    for qb in range(3):
-        circ.add("H", (), (qb,))
-    circ.gates.extend(build_evolution_block(d, t).gates)
-    circ.add("RY", (-math.pi / 2.0,), (0,))
-    return circ
+    block = build_evolution_block(d, t).gates
+    return Circuit(3, [*_PLUS_STATE, *block, _PROBE_ROTATION])
 
 
 def _embed(gate: Gate, n: int) -> np.ndarray:
@@ -242,6 +264,7 @@ def circuit_unitary(circ: Circuit) -> np.ndarray:
     """
     u = np.eye(1 << circ.n_qubits, dtype=complex)
     for g in circ.gates:
+        check_register(g.qubits, circ.n_qubits)
         u = _embed(g, circ.n_qubits) @ u
     return u
 

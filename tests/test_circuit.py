@@ -15,7 +15,7 @@ from scipy.linalg import expm
 from qdosc import (Circuit, Gate, PauliCoefficients, build_evolution_block,
                    build_protocol_circuit, circuit_unitary, model_coefficients,
                    phase_aligned_distance, reconstruct, system_to_wires)
-from qdosc.circuit import _branch_angles, u_matrix
+from qdosc.circuit import _branch_angles, u_rows
 
 Z = np.diag([1.0, -1.0])
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -29,10 +29,10 @@ def target_unitary(d: PauliCoefficients, t: float) -> np.ndarray:
 
 class TestGateMatrices:
     def test_u_special_points(self):
-        np.testing.assert_allclose(u_matrix(0.0, 0.0, 0.0), np.eye(2), atol=1e-15)
-        np.testing.assert_allclose(u_matrix(math.pi, 0.0, math.pi), X, atol=1e-15)
+        np.testing.assert_allclose(u_rows(0.0, 0.0, 0.0), np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(u_rows(math.pi, 0.0, math.pi), X, atol=1e-15)
         h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-        np.testing.assert_allclose(u_matrix(math.pi / 2, 0.0, math.pi), h,
+        np.testing.assert_allclose(u_rows(math.pi / 2, 0.0, math.pi), h,
                                    atol=1e-15)
 
     def test_rz_anchor(self):
@@ -51,7 +51,7 @@ class TestGateMatrices:
     def test_gu_is_phased_u(self):
         g = Gate("GU", (0.3, 0.7, -0.2, 1.1), (0, 1))
         np.testing.assert_allclose(g.local_matrix(),
-                                   np.exp(1.1j) * u_matrix(0.3, 0.7, -0.2),
+                                   np.exp(1.1j) * np.array(u_rows(0.3, 0.7, -0.2)),
                                    atol=1e-15)
 
     def test_all_kinds_unitary(self):
@@ -64,6 +64,21 @@ class TestGateMatrices:
                 m = Gate(kind, params, qubits).local_matrix()
                 np.testing.assert_allclose(m @ m.conj().T, np.eye(len(m)),
                                            atol=1e-12)
+
+    @pytest.mark.parametrize("kind,params,qubits", [
+        ("H", (), (0,)), ("RZ", (0.3,), (0,)), ("RY", (0.3,), (0,)),
+        ("U", (0.1, 0.2, 0.3), (0,)), ("ZZ", (0.4,), (0, 1)),
+        ("CX", (), (0, 1)), ("GU", (0.1, 0.2, 0.3, 0.4), (0, 1))])
+    def test_rows_are_python_complex(self, kind, params, qubits):
+        # the engine does scalar arithmetic on these entries
+        g = Gate(kind, params, qubits)
+        rows = g.rows()
+        assert all(type(x) is complex for row in rows for x in row)
+        m = g.local_matrix()
+        assert m.dtype == complex
+        np.testing.assert_array_equal(m, rows)
+        m[0, 0] = 7.0  # a fresh array, so the shared rows stay as they were
+        assert g.rows() == rows
 
 
 class TestGateValidation:
@@ -92,6 +107,23 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="outside the register"):
             Circuit(3).add("CX", (), (-3, 0))
 
+    @pytest.mark.parametrize("qubits", [(-1,), (2,), (5,), (0, -2)])
+    def test_register_bound_of_given_gates(self, qubits):
+        # gates handed to the constructor pass the same check as add
+        gate = Gate("H" if len(qubits) == 1 else "CX", (), qubits)
+        with pytest.raises(ValueError, match="outside the register"):
+            Circuit(2, [gate])
+        # one appended to the list directly is caught by the dense oracle
+        circ = Circuit(2)
+        circ.gates.append(gate)
+        with pytest.raises(ValueError, match="outside the register"):
+            circuit_unitary(circ)
+
+    def test_negative_register_size(self):
+        with pytest.raises(ValueError, match="register size"):
+            Circuit(-1)
+        assert circuit_unitary(Circuit(0)).shape == (1, 1)
+
 
 def test_embedding_anchors():
     # control on bit 0 (most significant): flips within the {10, 11} pair
@@ -119,7 +151,7 @@ class TestBranchAngles:
         for _ in range(30):
             a, b = rng.normal(size=2)
             t = rng.uniform(0.05, 2.5)
-            got = u_matrix(*_branch_angles(a, b, t))
+            got = u_rows(*_branch_angles(a, b, t))
             np.testing.assert_allclose(got, expm(-1j * t * (a * Z + b * X)),
                                        atol=1e-12)
 
@@ -127,7 +159,7 @@ class TestBranchAngles:
         # pure X rotation by pi/2: cos(theta/2) = 0, lambda falls out
         theta, phi, lam, chi = _branch_angles(0.0, 1.0, math.pi / 2.0)
         assert lam == 0.0
-        np.testing.assert_allclose(u_matrix(theta, phi, lam, chi), -1j * X,
+        np.testing.assert_allclose(u_rows(theta, phi, lam, chi), -1j * X,
                                    atol=1e-12)
 
     def test_conjugated_parameters_give_inverse(self):
@@ -135,8 +167,8 @@ class TestBranchAngles:
         # inverts the branch matrix; this is what the drawn gate order relies on
         d = model_coefficients("ho", 1.3, gamma=0.7)
         theta, phi, lam, chi = _branch_angles(d.d3 + d.d4, d.d5 + d.d6, 0.9)
-        fwd = u_matrix(theta, phi, lam, chi)
-        rev = u_matrix(theta, -phi, -lam, -chi)
+        fwd = np.array(u_rows(theta, phi, lam, chi))
+        rev = np.array(u_rows(theta, -phi, -lam, -chi))
         np.testing.assert_allclose(rev @ fwd, np.eye(2), atol=1e-12)
 
     def test_degenerate_branch_reports_zeros(self):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qdosc import (Circuit, MeasurementConfig, circuit_unitary, coeffs_h0,
+from qdosc import (Circuit, Gate, MeasurementConfig, circuit_unitary, coeffs_h0,
                    evolve_exact, expect_z, model_coefficients, probe_expectation,
                    reconstruct, run_circuit, sample_series, total_hamiltonian)
 from qdosc.qops import build_hamiltonian
@@ -121,6 +121,18 @@ def test_wire_index_layout_and_read_only():
     with pytest.raises(ValueError):
         idx[0, 0] = 0
     assert idx[0, 0] == 1
+
+
+@pytest.mark.parametrize("qubits", [(-1,), (2,), (5,), (0, -2)])
+def test_engine_rejects_a_gate_outside_the_register(qubits):
+    """A gate appended to the list directly skips Circuit's checks; numpy
+    would read a negative qubit as an axis counted from the end."""
+    circ = Circuit(2)
+    circ.gates.append(Gate("H" if len(qubits) == 1 else "CX", (), qubits))
+    with pytest.raises(ValueError, match="outside the register"):
+        run_circuit(circ)
+    with pytest.raises(ValueError, match="outside the register"):
+        wire_index(qubits, len(qubits) == 2, 2)
 
 
 def test_qubit_count_mismatch():
