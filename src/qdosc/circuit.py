@@ -11,21 +11,22 @@ z0 * H acts on q2 as a pure single-qubit rotation
     exp(-i t s0 [(d3 + s1 d4) Z + (d5 + s1 d6) X]),   s = +1/-1 for bit 0/1,
 
 so the whole evolution block compiles exactly (no product-formula error)
-into phase gates plus controlled single-qubit rotations.  The rotation for
-each s1 branch is written as a phased standard gate e^{i chi} U(theta, phi,
-lambda); conjugated parameter sets (theta, -phi, -lambda, -chi) give the
-inverse branch because phi = lambda + pi makes the matrix symmetric.
-_branch_angles solves one branch in closed form; a branch with zero
-rotation rate compiles to no gate.
+into phase gates plus controlled single-qubit rotations: every gate is a
+2x2 on its last qubit, applied where a first (control) qubit reads 1.
+The rotation for each s1 branch is written as a phased standard gate
+e^{i chi} U(theta, phi, lambda); conjugated parameter sets (theta, -phi,
+-lambda, -chi) give the inverse branch because phi = lambda + pi makes
+the matrix symmetric.  _branch_angles solves one branch in closed form;
+a branch with zero rotation rate compiles to no gate.
 
 Gate matrix conventions (bit 0 first):
 
     RZ(phi)            diag(e^{-i phi/2}, e^{+i phi/2})
     RY(theta)          [[cos(theta/2), -sin(theta/2)], [sin(theta/2), cos(theta/2)]]
-    ZZ(phi)            diag(e^{-i phi/2}, e^{+i phi/2}, e^{+i phi/2}, e^{-i phi/2})
     U(theta, phi, lam) [[cos(theta/2), -e^{i lam} sin(theta/2)],
                         [e^{i phi} sin(theta/2), e^{i(phi+lam)} cos(theta/2)]]
     GU(theta, phi, lam, chi)  e^{i chi} U(theta, phi, lam)
+    CX                 [[0, 1], [1, 0]]
 """
 
 from __future__ import annotations
@@ -41,10 +42,8 @@ from .spinmap import PauliCoefficients
 #: reordering of four-level matrix indices into the (q1, q2) wire basis
 WIRE_PERMUTATION = (0, 2, 1, 3)
 
-GATE_ARITY = {"H": 1, "RZ": 1, "RY": 1, "U": 1, "ZZ": 2, "CX": 2, "GU": 2}
-GATE_NPARAMS = {"H": 0, "RZ": 1, "RY": 1, "U": 3, "ZZ": 1, "CX": 0, "GU": 4}
-#: two-qubit kinds whose first qubit is a control rather than a coupling
-CONTROLLED = {"CX", "GU"}
+GATE_ARITY = {"H": 1, "RZ": 1, "RY": 1, "U": 1, "CX": 2, "GU": 2}
+GATE_NPARAMS = {"H": 0, "RZ": 1, "RY": 1, "U": 3, "CX": 0, "GU": 4}
 
 
 def system_to_wires(m: np.ndarray) -> np.ndarray:
@@ -81,8 +80,8 @@ def check_register(qubits: tuple[int, ...], n: int) -> None:
 class Gate:
     """One circuit element: kind, parameter tuple, qubit tuple.
 
-    For controlled kinds (CX, GU) qubits = (control, target); for ZZ the
-    two qubits enter symmetrically.
+    qubits = (target,), or (control, target) for the controlled kinds CX
+    and GU.
     """
 
     kind: str
@@ -101,10 +100,10 @@ class Gate:
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"repeated qubit in {self.qubits}")
 
-    def rows(self) -> tuple[tuple[complex, ...], ...]:
-        """Gate matrix on its own qubits as rows of Python complex: 2x2, or
-        4x4 for ZZ; for controlled kinds this is the 2x2 applied to the
-        target when the control is 1.  The one closed form of each kind."""
+    def rows(self) -> tuple[tuple[complex, complex], ...]:
+        """The 2x2 on the target qubit as rows of Python complex; for
+        controlled kinds it applies where the control is 1.  The one closed
+        form of each kind."""
         k, p = self.kind, self.params
         if k == "H":
             return H_ROWS
@@ -113,10 +112,6 @@ class Gate:
         if k == "RY":
             c, s = math.cos(p[0] / 2.0), math.sin(p[0] / 2.0)
             return ((complex(c), complex(-s)), (complex(s), complex(c)))
-        if k == "ZZ":
-            lo, hi = cmath.exp(-0.5j * p[0]), cmath.exp(0.5j * p[0])
-            return ((lo, 0j, 0j, 0j), (0j, hi, 0j, 0j),
-                    (0j, 0j, hi, 0j), (0j, 0j, 0j, lo))
         if k == "CX":
             return X_ROWS
         return u_rows(*p)  # U, or GU with its phase chi
@@ -184,11 +179,13 @@ def build_evolution_block(d: PauliCoefficients, t: float) -> Circuit:
     """The standalone evolution block: equals exp(-i t z0 H) up to a global
     phase, with H in the wire basis (see system_to_wires).
 
-    Gate order: probe phase, first-branch rotation, probe/spin-2 coupling
-    phase, then the controlled ladder with a CX pair rerouting the controls
-    of the middle two rotations through q1.  Each branch emits its GU
-    parameters or their negation (the inverse rotation); a branch with
-    j = 0 emits no rotation gates.
+    Gate order: probe phase, first-branch rotation, then the controlled
+    ladder with a CX(0, 1) pair rerouting the controls of the middle two
+    rotations through q1.  The probe/spin-2 coupling exp(-i d2 t z0 z1)
+    commutes with the first ladder rotation, and CX(0, 1) carries z0 z1 to
+    z1, so it sits right after the first CX as RZ(q1, 2 d2 t).  Each branch
+    emits its GU parameters or their negation (the inverse rotation); a
+    branch with j = 0 emits no rotation gates.
     """
     plus = _branch_angles(d.d3 + d.d4, d.d5 + d.d6, t)
     minus = _branch_angles(d.d3 - d.d4, d.d5 - d.d6, t)
@@ -196,10 +193,9 @@ def build_evolution_block(d: PauliCoefficients, t: float) -> Circuit:
     circ.add("RZ", (2.0 * d.d1 * t,), (0,))
     if plus:
         circ.add("U", plus[:3], (2,))
-    circ.add("ZZ", (2.0 * d.d2 * t,), (0, 1))
-    if plus:
         circ.add("GU", _inverse(plus), (0, 2))
     circ.add("CX", (), (0, 1))
+    circ.add("RZ", (2.0 * d.d2 * t,), (1,))
     if plus:
         circ.add("GU", _inverse(plus), (1, 2))
     if minus:
@@ -224,31 +220,16 @@ def build_protocol_circuit(d: PauliCoefficients, t: float) -> Circuit:
 
 
 def _embed(gate: Gate, n: int) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of a gate, bit 0 most significant."""
+    """Dense 2^n x 2^n matrix of a gate, bit 0 most significant: its 2x2 on
+    the target where every control bit is 1, identity elsewhere."""
     dim = 1 << n
     out = np.zeros((dim, dim), dtype=complex)
     m = gate.local_matrix()
-    if gate.kind in CONTROLLED:
-        ctrl, targ = gate.qubits
-        cbit, tbit = n - 1 - ctrl, n - 1 - targ
-        for k in range(dim):
-            if (k >> cbit) & 1 == 0:
-                out[k, k] = 1.0
-            else:
-                tv = (k >> tbit) & 1
-                for tv2 in (0, 1):
-                    out[k ^ ((tv ^ tv2) << tbit), k] = m[tv2, tv]
-        return out
-    if gate.kind == "ZZ":
-        qa, qb = gate.qubits
-        abit, bbit = n - 1 - qa, n - 1 - qb
-        for k in range(dim):
-            out[k, k] = m[((k >> abit) & 1) * 2 + ((k >> bbit) & 1),
-                          ((k >> abit) & 1) * 2 + ((k >> bbit) & 1)]
-        return out
-    (targ,) = gate.qubits
-    tbit = n - 1 - targ
+    *cbits, tbit = (n - 1 - q for q in gate.qubits)
     for k in range(dim):
+        if not all((k >> cbit) & 1 for cbit in cbits):
+            out[k, k] = 1.0
+            continue
         tv = (k >> tbit) & 1
         for tv2 in (0, 1):
             out[k ^ ((tv ^ tv2) << tbit), k] = m[tv2, tv]

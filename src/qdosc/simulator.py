@@ -3,64 +3,53 @@
 Amplitudes are stored with qubit 0 as the most significant bit, matching
 the index embedding in the circuit module.  Gates are applied one at a
 time directly to the state (cost O(2^n) per gate); the full unitary is
-never materialized here.  Every gate kind follows one row rule
-(run_circuit) in scalar Python arithmetic over a list of amplitudes: on
-a three-qubit register a few products per gate cost less than the numpy
-calls of a gather/matmul/scatter (about 32 against 100 us per 13-gate
-run on a 2-core Xeon VM, CPython 3.11).  A state is a plain complex
-array of 2^n amplitudes.  Every function is pure, so independent runs
-can proceed concurrently; the cached indices are read-only.
+never materialized here.  Every gate is one 2x2 on its target, so one
+rule (run_circuit) in scalar Python arithmetic over a list of amplitudes
+covers every kind: on a three-qubit register a few products per gate
+cost less than the numpy calls of a gather/matmul/scatter (about 32
+against 100 us per 13-gate run on a 2-core Xeon VM, CPython 3.11).  A
+state is a plain complex array of 2^n amplitudes.  Every function is
+pure, so independent runs can proceed concurrently; the cached index
+pairs are immutable tuples.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 
 import numpy as np
 
-from .circuit import (CONTROLLED, Circuit, build_protocol_circuit, check_register,
-                      system_to_wires)
+from .circuit import Circuit, build_protocol_circuit, check_register, system_to_wires
 from .qops import as_matrix
 from .spinmap import PauliCoefficients, reconstruct
 
 
 @functools.lru_cache
-def wire_index(qubits: tuple[int, ...], controlled: bool, n: int) -> np.ndarray:
-    """Flat amplitude indices of an n-qubit register, grouped by `qubits`.
+def wire_pairs(qubits: tuple[int, ...], n: int) -> tuple[tuple[int, int], ...]:
+    """Flat amplitude index pairs (target = 0, target = 1) of a gate on
+    `qubits` in an n-qubit register, qubit 0 most significant.
 
-    Row r holds the indices whose bits on `qubits` read r, the first qubit
-    most significant; column c runs over the values of the other wires in
-    ascending order.  For a controlled gate only the control = 1 rows are
-    kept, so the two rows are the target's 0 and 1.  The array is read-only
-    because the cache hands the same one to every caller.  A qubit outside
+    The target is the last qubit; a control, the first of two, is held at
+    1.  Pairs ascend over the values of the other wires.  A qubit outside
     [0, n) raises ValueError.
     """
     check_register(qubits, n)
-    k = len(qubits)
-    flat = np.arange(1 << n, dtype=np.intp).reshape((2,) * n)
-    idx = np.moveaxis(flat, qubits, range(k)).reshape(1 << k, -1)
-    idx = np.array(idx[2:] if controlled else idx)
-    idx.setflags(write=False)
-    return idx
-
-
-@functools.lru_cache
-def wire_columns(qubits: tuple[int, ...], controlled: bool,
-                 n: int) -> tuple[tuple[int, ...], ...]:
-    """The columns of wire_index as tuples of Python ints."""
-    return tuple(zip(*wire_index(qubits, controlled, n).tolist()))
+    # int() so that numpy-integer qubits still give Python int indices
+    *cbits, tbit = (1 << int(n - 1 - q) for q in qubits)
+    cmask = sum(cbits)
+    return tuple((k, k | tbit) for k in range(1 << n)
+                 if not k & tbit and k & cmask == cmask)
 
 
 def run_circuit(circ: Circuit, amps: np.ndarray | None = None) -> np.ndarray:
     """Amplitudes after every gate in order, from a copy of amps (default
     |0...0>), as a new complex array; amps is never written.
 
-    Each gate's rows m (Gate.rows) update every column col of its index
-    (wire_columns) as out[col[r]] = sum_j m[r][j] * out[col[j]].  The rule
-    is plain arithmetic, so it reads the same with a length-M array in
-    place of each amplitude and each entry.
+    Each gate's 2x2 rows ((a, b), (c, d)) (Gate.rows) update every pair
+    (i, j) of wire_pairs as out[i], out[j] = a x + b y, c x + d y with
+    x, y = out[i], out[j].  The rule is plain arithmetic, so it reads the
+    same with a length-M array in place of each amplitude and each entry.
     """
     n = circ.n_qubits
     if amps is None:
@@ -73,31 +62,24 @@ def run_circuit(circ: Circuit, amps: np.ndarray | None = None) -> np.ndarray:
                              f"amplitudes, got shape {arr.shape}")
         out = arr.tolist()
     for g in circ.gates:
-        m = g.rows()
-        cols = wire_columns(g.qubits, g.kind in CONTROLLED, n)
-        if len(m) == 2:
-            (a, b), (c, d) = m
-            for i, j in cols:
-                x, y = out[i], out[j]
-                out[i] = a * x + b * y
-                out[j] = c * x + d * y
-        else:
-            for col in cols:
-                v = [out[i] for i in col]
-                for i, row in zip(col, m):
-                    out[i] = sum(map(operator.mul, row, v))
+        (a, b), (c, d) = g.rows()
+        for i, j in wire_pairs(g.qubits, n):
+            x, y = out[i], out[j]
+            out[i] = a * x + b * y
+            out[j] = c * x + d * y
     return np.array(out, dtype=complex)
 
 
 def expect_z(amps: np.ndarray, qubit: int) -> float:
-    """<Z> of one qubit: the weight on its 0 rows minus that on its 1 rows."""
+    """<Z> of one qubit: the weight where it reads 0 minus that where it
+    reads 1, over the index pairs of wire_pairs."""
     amps = np.asarray(amps)
     n = amps.size.bit_length() - 1
-    if amps.shape != (1 << n,) or not 0 <= qubit < n:
+    # the qubit test comes first: an empty array gives n = -1
+    if not 0 <= qubit < n or amps.shape != (1 << n,):
         raise ValueError(f"no qubit {qubit} in amplitudes of shape {amps.shape}")
-    p0, p1 = (float(np.sum(np.abs(amps[row]) ** 2))
-              for row in wire_index((qubit,), False, n))
-    return p0 - p1
+    prob = (np.abs(amps) ** 2).tolist()
+    return math.fsum(prob[i] - prob[j] for i, j in wire_pairs((qubit,), n))
 
 
 def probe_expectation(d: PauliCoefficients, t: float) -> float:

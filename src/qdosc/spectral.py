@@ -173,8 +173,9 @@ def sample_series(d: PauliCoefficients, dt: float | None = None,
                   cfg: MeasurementConfig | None = None) -> TimeSeries:
     """Probe expectation sampled at t_j = j dt for j = 0 .. m-1.
 
-    Refuses spacings that alias the estimated top frequency: requires
-    pi/dt > 2 sum|d_i|, and that estimate finite.  Shot readout is one
+    Refuses a dt that is not finite and positive (ValueError) before any
+    circuit runs, and spacings that alias the estimated top frequency:
+    requires pi/dt > 2 sum|d_i|, and that estimate finite.  Shot readout is one
     draw over the exact series z: q0 = 0 counts N0 ~ Binomial(S, (1 + z)/2)
     from default_rng(cfg.seed), read out as (2 N0 - S)/S, so the draws are
     independent sample to sample yet fully reproducible from cfg.seed.
@@ -188,6 +189,8 @@ def sample_series(d: PauliCoefficients, dt: float | None = None,
         raise ValueError(f"estimated top frequency {top} is not finite")
     if dt is None:
         dt = default_dt(d)
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     if math.pi / dt <= top:
         raise NyquistViolation(
             f"dt={dt} gives bandwidth {math.pi / dt:.4g} <= estimated top "
@@ -249,8 +252,10 @@ def detect_levels(spec: Spectrum, n_expected: int = 4,
     of the parabola through its three bins, and the level is half the
     refined frequency.  If more peaks qualify than requested the tallest
     n_expected are kept, the lower frequency winning a tie; if fewer,
-    InsufficientPeaks is raised.
+    InsufficientPeaks is raised.  n_expected below 1 raises ValueError.
     """
+    if n_expected < 1:
+        raise ValueError(f"n_expected must be >= 1, got {n_expected}")
     freqs, vals = spec.frequencies, spec.values
     # the grid ascends, so the bins at w > 0 are one tail of the array
     first = int(np.searchsorted(freqs, 0.0, side="right"))

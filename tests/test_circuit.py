@@ -43,11 +43,6 @@ class TestGateMatrices:
         m = Gate("RY", (math.pi,), (0,)).local_matrix()
         np.testing.assert_allclose(m, [[0, -1], [1, 0]], atol=1e-15)
 
-    def test_zz_phase_pattern(self):
-        m = Gate("ZZ", (0.5,), (0, 1)).local_matrix()
-        lo, hi = np.exp(-0.25j), np.exp(0.25j)
-        np.testing.assert_allclose(m, np.diag([lo, hi, hi, lo]), atol=1e-15)
-
     def test_gu_is_phased_u(self):
         g = Gate("GU", (0.3, 0.7, -0.2, 1.1), (0, 1))
         np.testing.assert_allclose(g.local_matrix(),
@@ -56,7 +51,7 @@ class TestGateMatrices:
 
     def test_all_kinds_unitary(self):
         rng = np.random.default_rng(5)
-        kinds = [("H", 0), ("RZ", 1), ("RY", 1), ("U", 3), ("ZZ", 1), ("GU", 4)]
+        kinds = [("H", 0), ("RZ", 1), ("RY", 1), ("U", 3), ("GU", 4)]
         for kind, nparams in kinds:
             for _ in range(5):
                 params = tuple(rng.uniform(-math.pi, math.pi, size=nparams))
@@ -67,12 +62,13 @@ class TestGateMatrices:
 
     @pytest.mark.parametrize("kind,params,qubits", [
         ("H", (), (0,)), ("RZ", (0.3,), (0,)), ("RY", (0.3,), (0,)),
-        ("U", (0.1, 0.2, 0.3), (0,)), ("ZZ", (0.4,), (0, 1)),
+        ("U", (0.1, 0.2, 0.3), (0,)),
         ("CX", (), (0, 1)), ("GU", (0.1, 0.2, 0.3, 0.4), (0, 1))])
     def test_rows_are_python_complex(self, kind, params, qubits):
-        # the engine does scalar arithmetic on these entries
+        # the engine does scalar arithmetic on these entries, one 2x2 per kind
         g = Gate(kind, params, qubits)
         rows = g.rows()
+        assert len(rows) == 2 and all(len(row) == 2 for row in rows)
         assert all(type(x) is complex for row in rows for x in row)
         m = g.local_matrix()
         assert m.dtype == complex
@@ -191,7 +187,8 @@ class TestEvolutionBlock:
     def test_degenerate_block_compiles_to_phases_only(self):
         d = PauliCoefficients(0.7, -0.3, 0.0, 0.0, 0.0, 0.0)
         block = build_evolution_block(d, 1.1)
-        assert [g.kind for g in block.gates] == ["RZ", "ZZ", "CX", "CX"]
+        assert [g.kind for g in block.gates] == ["RZ", "CX", "RZ", "CX"]
+        assert block.gates[2].qubits == (1,)
         dist = phase_aligned_distance(circuit_unitary(block),
                                       target_unitary(d, 1.1))
         assert dist < 1e-12

@@ -10,12 +10,12 @@ from qdosc import (Circuit, Gate, MeasurementConfig, circuit_unitary, coeffs_h0,
                    evolve_exact, expect_z, model_coefficients, probe_expectation,
                    reconstruct, run_circuit, sample_series, total_hamiltonian)
 from qdosc.qops import build_hamiltonian
-from qdosc.simulator import wire_index
+from qdosc.simulator import wire_pairs
 
 
 #: (kind, parameter count, arity) for every gate kind
 KINDS = [("H", 0, 1), ("RZ", 1, 1), ("RY", 1, 1), ("U", 3, 1),
-         ("ZZ", 1, 2), ("CX", 0, 2), ("GU", 4, 2)]
+         ("CX", 0, 2), ("GU", 4, 2)]
 
 
 def random_circuit(rng, n_gates=12, n_qubits=3) -> Circuit:
@@ -110,17 +110,14 @@ def test_readout_matches_dense_state(n):
         assert expect_z(psi, qubit) == pytest.approx(1.0 - 2.0 * p1, abs=1e-14)
 
 
-def test_wire_index_layout_and_read_only():
-    # control q2, target q0 on 3 wires: rows are q0 = 0, 1 with q2 = 1
-    idx = wire_index((2, 0), True, 3)
-    np.testing.assert_array_equal(idx, [[1, 3], [5, 7]])
-    np.testing.assert_array_equal(wire_index((1,), False, 3), [[0, 1, 4, 5],
-                                                               [2, 3, 6, 7]])
-    # every later gate on these wires shares this array, so a write must fail
-    assert wire_index((2, 0), True, 3) is idx
-    with pytest.raises(ValueError):
-        idx[0, 0] = 0
-    assert idx[0, 0] == 1
+def test_wire_pairs_layout_and_cache():
+    # control q2, target q0 on 3 wires: pairs are (q0 = 0, q0 = 1) with q2 = 1
+    pairs = wire_pairs((2, 0), 3)
+    assert pairs == ((1, 5), (3, 7))
+    assert wire_pairs((1,), 3) == ((0, 2), (1, 3), (4, 6), (5, 7))
+    # every later gate on these wires shares this immutable tuple
+    assert wire_pairs((2, 0), 3) is pairs
+    assert all(type(i) is int for pair in pairs for i in pair)
 
 
 @pytest.mark.parametrize("qubits", [(-1,), (2,), (5,), (0, -2)])
@@ -132,7 +129,7 @@ def test_engine_rejects_a_gate_outside_the_register(qubits):
     with pytest.raises(ValueError, match="outside the register"):
         run_circuit(circ)
     with pytest.raises(ValueError, match="outside the register"):
-        wire_index(qubits, len(qubits) == 2, 2)
+        wire_pairs(qubits, 2)
 
 
 def test_qubit_count_mismatch():
@@ -150,7 +147,8 @@ def test_expectation_before_and_after_a_gate():
 
 
 @pytest.mark.parametrize("amps, qubit", [(np.ones(8), 3), (np.ones(8), -1),
-                                         (np.ones(6), 0), (np.ones((2, 2)), 0)])
+                                         (np.ones(6), 0), (np.ones((2, 2)), 0),
+                                         (np.ones(0), 0)])
 def test_expectation_needs_a_qubit_of_the_register(amps, qubit):
     with pytest.raises(ValueError, match="no qubit"):
         expect_z(amps, qubit)

@@ -16,6 +16,7 @@ from qdosc import (InsufficientPeaks, MeasurementConfig, NyquistViolation,
                    Spectrum, TimeSeries, coeffs_h0, default_dt, detect_levels,
                    dft_real, energy_scale_estimate, match_levels,
                    model_coefficients, sample_series, spectrum_h0)
+from qdosc import spectral
 from qdosc.spectral import MAX_SAMPLES, check_sample_count, hann_half_window
 
 
@@ -57,6 +58,15 @@ class TestSampleSeries:
         assert np.isfinite(d.as_array()).all()
         with pytest.raises(ValueError, match="not finite"):
             sample_series(d, m=16)
+
+    @pytest.mark.parametrize("bad_dt", [0.0, -0.1, math.nan, math.inf])
+    def test_rejects_a_bad_spacing_before_any_circuit_runs(self, bad_dt, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spectral, "probe_expectation",
+                            lambda d, t: calls.append(t) or 1.0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            sample_series(coeffs_h0(1.0), dt=bad_dt, m=16)
+        assert calls == []
 
     @pytest.mark.parametrize("bad_m", [8, 12, 100, 1000])
     def test_rejects_bad_sample_counts(self, bad_m):
@@ -287,9 +297,12 @@ class TestDetectLevels:
         np.testing.assert_array_equal(lv.heights, [0.9, 1.0])
 
     def test_no_levels_requested(self):
-        spec = dft_real(make_series([2.0]))
-        lv = detect_levels(spec, n_expected=0)
-        assert len(lv.levels) == 0 and len(lv.heights) == 0
+        # a count below one is refused, not read as a slice bound
+        spec = dft_real(make_series([2.0, 4.0, 6.0, 8.0, 10.0]), window="hann")
+        assert len(detect_levels(spec, n_expected=5, min_prominence=0.05).levels) == 5
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="n_expected"):
+                detect_levels(spec, n_expected=bad, min_prominence=0.05)
 
     def test_single_line_cannot_make_two(self):
         spec = dft_real(make_series([2.0]))
