@@ -17,7 +17,8 @@ The rotation for each s1 branch is written as a phased standard gate
 e^{i chi} U(theta, phi, lambda); conjugated parameter sets (theta, -phi,
 -lambda, -chi) give the inverse branch because phi = lambda + pi makes
 the matrix symmetric.  _branch_angles solves one branch in closed form;
-a branch with zero rotation rate compiles to no gate.
+a branch with zero rotation rate compiles to no gate.  Per sample only
+the t-dependent gates are new; H, CX and RY are shared module constants.
 
 Gate matrix conventions (bit 0 first):
 
@@ -42,8 +43,8 @@ from .spinmap import PauliCoefficients
 #: reordering of four-level matrix indices into the (q1, q2) wire basis
 WIRE_PERMUTATION = (0, 2, 1, 3)
 
-GATE_ARITY = {"H": 1, "RZ": 1, "RY": 1, "U": 1, "CX": 2, "GU": 2}
-GATE_NPARAMS = {"H": 0, "RZ": 1, "RY": 1, "U": 3, "CX": 0, "GU": 4}
+#: gate kind -> (qubit count, parameter count)
+GATE_SHAPE = dict(H=(1, 0), RZ=(1, 1), RY=(1, 1), U=(1, 3), CX=(2, 0), GU=(2, 4))
 
 
 def system_to_wires(m: np.ndarray) -> np.ndarray:
@@ -89,14 +90,15 @@ class Gate:
     qubits: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind not in GATE_ARITY:
+        shape = GATE_SHAPE.get(self.kind)
+        if shape is None:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len(self.qubits) != GATE_ARITY[self.kind]:
-            raise ValueError(f"{self.kind} acts on {GATE_ARITY[self.kind]} qubit(s), "
-                             f"got {self.qubits}")
-        if len(self.params) != GATE_NPARAMS[self.kind]:
-            raise ValueError(f"{self.kind} takes {GATE_NPARAMS[self.kind]} parameter(s), "
-                             f"got {self.params}")
+        # a list would pass the length checks, then fail as a cache key
+        if not (isinstance(self.qubits, tuple) and isinstance(self.params, tuple)):
+            raise ValueError(f"qubits and params must be tuples in {self!r}")
+        if (len(self.qubits), len(self.params)) != shape:
+            raise ValueError(f"{self.kind} acts on {shape[0]} qubit(s) with "
+                             f"{shape[1]} parameter(s), got {self!r}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"repeated qubit in {self.qubits}")
 
@@ -127,10 +129,14 @@ class Circuit:
     gates: list[Gate] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.n_qubits < 0:
-            raise ValueError(f"register size must be >= 0, got {self.n_qubits}")
+        # one pass over the qubits; check_register words the error
+        n = self.n_qubits
+        if n < 0:
+            raise ValueError(f"register size must be >= 0, got {n}")
         for g in self.gates:
-            check_register(g.qubits, self.n_qubits)
+            for q in g.qubits:
+                if not 0 <= q < n:
+                    check_register(g.qubits, n)
 
     def add(self, kind: str, params: tuple[float, ...], qubits: tuple[int, ...]):
         g = Gate(kind, tuple(map(float, params)), tuple(qubits))
@@ -171,8 +177,32 @@ def _branch_angles(a: float, b: float, t: float) -> tuple[float, float, float, f
 
 def _inverse(p: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
     """Conjugated GU parameters (theta, -phi, -lam, -chi): the inverse rotation."""
-    theta, phi, lam, chi = p
-    return (theta, -phi, -lam, -chi)
+    return (p[0], -p[1], -p[2], -p[3])
+
+
+# the parameter-free protocol gates: immutable, so every circuit shares them
+_PLUS_STATE = tuple(Gate("H", (), (qb,)) for qb in range(3))
+_CX01 = Gate("CX", (), (0, 1))
+_PROBE_ROTATION = Gate("RY", (-math.pi / 2.0,), (0,))
+
+
+def _block_gates(d: PauliCoefficients, t: float) -> list[Gate]:
+    """build_evolution_block's gates, the shared _CX01 in both CX slots."""
+    plus = _branch_angles(d.d3 + d.d4, d.d5 + d.d6, t)
+    minus = _branch_angles(d.d3 - d.d4, d.d5 - d.d6, t)
+    gates = [Gate("RZ", (float(2.0 * d.d1 * t),), (0,))]  # d holds numpy floats
+    if plus:
+        back = _inverse(plus)
+        gates += (Gate("U", plus[:3], (2,)), Gate("GU", back, (0, 2)))
+    gates += (_CX01, Gate("RZ", (float(2.0 * d.d2 * t),), (1,)))
+    if plus:
+        gates.append(Gate("GU", back, (1, 2)))
+    if minus:
+        gates.append(Gate("GU", minus, (1, 2)))
+    gates.append(_CX01)
+    if minus:
+        gates.append(Gate("GU", _inverse(minus), (0, 2)))
+    return gates
 
 
 def build_evolution_block(d: PauliCoefficients, t: float) -> Circuit:
@@ -185,38 +215,15 @@ def build_evolution_block(d: PauliCoefficients, t: float) -> Circuit:
     commutes with the first ladder rotation, and CX(0, 1) carries z0 z1 to
     z1, so it sits right after the first CX as RZ(q1, 2 d2 t).  Each branch
     emits its GU parameters or their negation (the inverse rotation); a
-    branch with j = 0 emits no rotation gates.
+    branch with j = 0 emits no rotation gates.  Built by _block_gates.
     """
-    plus = _branch_angles(d.d3 + d.d4, d.d5 + d.d6, t)
-    minus = _branch_angles(d.d3 - d.d4, d.d5 - d.d6, t)
-    circ = Circuit(3)
-    circ.add("RZ", (2.0 * d.d1 * t,), (0,))
-    if plus:
-        circ.add("U", plus[:3], (2,))
-        circ.add("GU", _inverse(plus), (0, 2))
-    circ.add("CX", (), (0, 1))
-    circ.add("RZ", (2.0 * d.d2 * t,), (1,))
-    if plus:
-        circ.add("GU", _inverse(plus), (1, 2))
-    if minus:
-        circ.add("GU", minus, (1, 2))
-    circ.add("CX", (), (0, 1))
-    if minus:
-        circ.add("GU", _inverse(minus), (0, 2))
-    return circ
-
-
-# the protocol gates that depend on neither the coefficients nor t;
-# gates are immutable, so every circuit can share them
-_PLUS_STATE = tuple(Gate("H", (), (qb,)) for qb in range(3))
-_PROBE_ROTATION = Gate("RY", (-math.pi / 2.0,), (0,))
+    return Circuit(3, _block_gates(d, t))
 
 
 def build_protocol_circuit(d: PauliCoefficients, t: float) -> Circuit:
-    """Full probe protocol: plus-state preparation on all wires, the
-    evolution block, and the probe basis rotation before readout."""
-    block = build_evolution_block(d, t).gates
-    return Circuit(3, [*_PLUS_STATE, *block, _PROBE_ROTATION])
+    """Full probe protocol: the shared plus-state H gates, the evolution
+    block, and the shared probe basis rotation before readout."""
+    return Circuit(3, [*_PLUS_STATE, *_block_gates(d, t), _PROBE_ROTATION])
 
 
 def _embed(gate: Gate, n: int) -> np.ndarray:

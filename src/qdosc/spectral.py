@@ -164,8 +164,10 @@ def energy_scale_estimate(d: PauliCoefficients) -> float:
 
 def default_dt(d: PauliCoefficients) -> float:
     """Sample spacing placing the estimated top frequency 2 sum|d_i| at
-    NYQUIST_HEADROOM of the one-sided bandwidth pi/dt."""
-    return NYQUIST_HEADROOM * math.pi / (2.0 * energy_scale_estimate(d))
+    NYQUIST_HEADROOM of the one-sided bandwidth pi/dt; ValueError at zero."""
+    if not (scale := energy_scale_estimate(d)):
+        raise ValueError("energy scale sum|d_i| is zero, so there is no default dt")
+    return NYQUIST_HEADROOM * math.pi / (2.0 * scale)
 
 
 def sample_series(d: PauliCoefficients, dt: float | None = None,

@@ -15,7 +15,8 @@ from scipy.linalg import expm
 from qdosc import (Circuit, Gate, PauliCoefficients, build_evolution_block,
                    build_protocol_circuit, circuit_unitary, model_coefficients,
                    phase_aligned_distance, reconstruct, system_to_wires)
-from qdosc.circuit import _branch_angles, u_rows
+from qdosc.circuit import (_CX01, _PLUS_STATE, _PROBE_ROTATION, _branch_angles,
+                           u_rows)
 
 Z = np.diag([1.0, -1.0])
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -93,6 +94,13 @@ class TestGateValidation:
     def test_repeated_qubit(self):
         with pytest.raises(ValueError):
             Gate("CX", (), (1, 1))
+
+    @pytest.mark.parametrize("kind,params,qubits", [
+        ("H", (), [0]), ("RZ", [0.3], (0,)), ("CX", (), [0, 1])])
+    def test_qubits_and_params_are_tuples(self, kind, params, qubits):
+        # a list passes every length check, then fails as the engine's cache key
+        with pytest.raises(ValueError, match="must be tuples"):
+            Gate(kind, params, qubits)
 
     def test_register_bound(self):
         with pytest.raises(ValueError):
@@ -204,7 +212,60 @@ class TestEvolutionBlock:
         assert phase_aligned_distance(got, np.eye(8)) < 1e-12
 
 
+# generic, then with the plus branch, the minus branch and both at rate zero
+BRANCH_CASES = {
+    "generic": (model_coefficients("ao", 1.3, delta=0.3),
+                ["RZ", "U", "GU", "CX", "RZ", "GU", "GU", "CX", "GU"],
+                [(0,), (2,), (0, 2), (0, 1), (1,), (1, 2), (1, 2), (0, 1), (0, 2)]),
+    "plus-none": (PauliCoefficients(0.7, -0.3, 0.4, -0.4, 0.2, -0.2),
+                  ["RZ", "CX", "RZ", "GU", "CX", "GU"],
+                  [(0,), (0, 1), (1,), (1, 2), (0, 1), (0, 2)]),
+    "minus-none": (PauliCoefficients(0.7, -0.3, 0.4, 0.4, 0.2, 0.2),
+                   ["RZ", "U", "GU", "CX", "RZ", "GU", "CX"],
+                   [(0,), (2,), (0, 2), (0, 1), (1,), (1, 2), (0, 1)]),
+    "both-none": (PauliCoefficients(0.7, -0.3, 0.0, 0.0, 0.0, 0.0),
+                  ["RZ", "CX", "RZ", "CX"], [(0,), (0, 1), (1,), (0, 1)]),
+}
+
+
 class TestProtocolCircuit:
+    @pytest.mark.parametrize("case", BRANCH_CASES)
+    @pytest.mark.parametrize("t", [0.7, np.float64(0.7)], ids=["float", "float64"])
+    def test_gate_list_per_branch_case(self, case, t):
+        d, kinds, qubits = BRANCH_CASES[case]
+        circ = build_protocol_circuit(d, t)
+        assert [g.kind for g in circ.gates] == ["H", "H", "H", *kinds, "RY"]
+        assert [g.qubits for g in circ.gates] == [(0,), (1,), (2,), *qubits, (0,)]
+        # Python floats, as Circuit.add would store them, never numpy scalars
+        assert all(type(p) is float for g in circ.gates for p in g.params)
+        block = build_evolution_block(d, t)
+        assert block.gates == circ.gates[3:-1]
+        dist = phase_aligned_distance(circuit_unitary(block), target_unitary(d, t))
+        assert dist < 1e-10
+
+    def test_parameter_free_gates_are_shared(self):
+        d = model_coefficients("ho", 1.2, gamma=0.5)
+        a, b = build_protocol_circuit(d, 0.3), build_protocol_circuit(d, 0.9)
+        for circ in (a, b):
+            assert all(circ.gates[i] is _PLUS_STATE[i] for i in range(3))
+            assert circ.gates[6] is circ.gates[10] is _CX01
+            assert circ.gates[-1] is _PROBE_ROTATION
+        assert build_evolution_block(d, 0.3).gates[3] is _CX01
+        # the t-dependent gates are new objects with new angles
+        assert a.gates[4] is not b.gates[4] and a.gates[4] != b.gates[4]
+
+    def test_every_new_gate_is_checked(self, monkeypatch):
+        checked = []
+        post_init = Gate.__post_init__
+
+        def counting(self):
+            checked.append(self.kind)
+            post_init(self)
+
+        monkeypatch.setattr(Gate, "__post_init__", counting)
+        build_protocol_circuit(model_coefficients("ho", 1.2, gamma=0.5), 0.7)
+        assert sorted(checked) == ["GU", "GU", "GU", "GU", "RZ", "RZ", "U"]
+
     def test_structure(self):
         circ = build_protocol_circuit(model_coefficients("h0", 1.0), 0.5)
         assert [g.kind for g in circ.gates[:3]] == ["H", "H", "H"]

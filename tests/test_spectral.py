@@ -15,7 +15,8 @@ import pytest
 from qdosc import (InsufficientPeaks, MeasurementConfig, NyquistViolation,
                    Spectrum, TimeSeries, coeffs_h0, default_dt, detect_levels,
                    dft_real, energy_scale_estimate, match_levels,
-                   model_coefficients, sample_series, spectrum_h0)
+                   model_coefficients, PauliCoefficients, sample_series,
+                   spectrum_h0)
 from qdosc import spectral
 from qdosc.spectral import MAX_SAMPLES, check_sample_count, hann_half_window
 
@@ -66,6 +67,18 @@ class TestSampleSeries:
                             lambda d, t: calls.append(t) or 1.0)
         with pytest.raises(ValueError, match="finite and positive"):
             sample_series(coeffs_h0(1.0), dt=bad_dt, m=16)
+        assert calls == []
+
+    def test_zero_energy_scale_has_no_default_spacing(self, monkeypatch):
+        # all-zero coefficients: the default dt would divide by sum|d_i| = 0
+        calls = []
+        monkeypatch.setattr(spectral, "probe_expectation",
+                            lambda d, t: calls.append(t) or 1.0)
+        zero = PauliCoefficients(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="energy scale"):
+            default_dt(zero)
+        with pytest.raises(ValueError, match="energy scale"):
+            sample_series(zero, m=16)
         assert calls == []
 
     @pytest.mark.parametrize("bad_m", [8, 12, 100, 1000])
