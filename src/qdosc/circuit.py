@@ -17,8 +17,7 @@ The rotation for each s1 branch is written as a phased standard gate
 e^{i chi} U(theta, phi, lambda); conjugated parameter sets (theta, -phi,
 -lambda, -chi) give the inverse branch because phi = lambda + pi makes
 the matrix symmetric.  _branch_angles solves one branch in closed form;
-a branch with zero rotation rate compiles to no gate.  Per sample only
-the t-dependent gates are new; H, CX and RY are shared module constants.
+a branch with zero rotation rate compiles to no gate.
 
 Gate matrix conventions (bit 0 first):
 
@@ -38,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .qops import is_int
 from .spinmap import PauliCoefficients
 
 #: reordering of four-level matrix indices into the (q1, q2) wire basis
@@ -70,9 +70,9 @@ def u_rows(theta: float, phi: float, lam: float,
 
 
 def check_register(qubits: tuple[int, ...], n: int) -> None:
-    """Raise ValueError unless every qubit lies in [0, n): numpy would
-    read a negative qubit as an axis counted from the end."""
-    if not all(0 <= q < n for q in qubits):
+    """Raise ValueError unless every qubit is an integer in [0, n): numpy reads
+    a negative one as an axis from the end, and a float one passes the bound."""
+    if not all(is_int(q) and 0 <= q < n for q in qubits):
         raise ValueError(f"qubits {tuple(qubits)} lie outside the register "
                          f"of {n} qubits")
 
@@ -118,10 +118,6 @@ class Gate:
             return X_ROWS
         return u_rows(*p)  # U, or GU with its phase chi
 
-    def local_matrix(self) -> np.ndarray:
-        """rows() as a fresh complex array."""
-        return np.array(self.rows())
-
 
 @dataclass
 class Circuit:
@@ -129,23 +125,14 @@ class Circuit:
     gates: list[Gate] = field(default_factory=list)
 
     def __post_init__(self):
-        # one pass over the qubits; check_register words the error
+        # one pass over the qubits; check_register words the error, or passes numpy ints
         n = self.n_qubits
-        if n < 0:
-            raise ValueError(f"register size must be >= 0, got {n}")
+        if not is_int(n) or n < 0:
+            raise ValueError(f"register size must be an integer >= 0, got {n!r}")
         for g in self.gates:
             for q in g.qubits:
-                if not 0 <= q < n:
+                if type(q) is not int or not 0 <= q < n:
                     check_register(g.qubits, n)
-
-    def add(self, kind: str, params: tuple[float, ...], qubits: tuple[int, ...]):
-        g = Gate(kind, tuple(map(float, params)), tuple(qubits))
-        check_register(g.qubits, self.n_qubits)
-        self.gates.append(g)
-        return self
-
-    def __len__(self) -> int:
-        return len(self.gates)
 
 
 def _branch_angles(a: float, b: float, t: float) -> tuple[float, float, float, float] | None:
@@ -188,13 +175,14 @@ _PROBE_ROTATION = Gate("RY", (-math.pi / 2.0,), (0,))
 
 def _block_gates(d: PauliCoefficients, t: float) -> list[Gate]:
     """build_evolution_block's gates, the shared _CX01 in both CX slots."""
+    t = float(t)  # a numpy t would give numpy RZ angles; d holds Python floats
     plus = _branch_angles(d.d3 + d.d4, d.d5 + d.d6, t)
     minus = _branch_angles(d.d3 - d.d4, d.d5 - d.d6, t)
-    gates = [Gate("RZ", (float(2.0 * d.d1 * t),), (0,))]  # d holds numpy floats
+    gates = [Gate("RZ", (2.0 * d.d1 * t,), (0,))]
     if plus:
         back = _inverse(plus)
         gates += (Gate("U", plus[:3], (2,)), Gate("GU", back, (0, 2)))
-    gates += (_CX01, Gate("RZ", (float(2.0 * d.d2 * t),), (1,)))
+    gates += (_CX01, Gate("RZ", (2.0 * d.d2 * t,), (1,)))
     if plus:
         gates.append(Gate("GU", back, (1, 2)))
     if minus:
@@ -231,7 +219,7 @@ def _embed(gate: Gate, n: int) -> np.ndarray:
     the target where every control bit is 1, identity elsewhere."""
     dim = 1 << n
     out = np.zeros((dim, dim), dtype=complex)
-    m = gate.local_matrix()
+    m = np.array(gate.rows())
     *cbits, tbit = (n - 1 - q for q in gate.qubits)
     for k in range(dim):
         if not all((k >> cbit) & 1 for cbit in cbits):

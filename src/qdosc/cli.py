@@ -16,19 +16,15 @@ from .analytic import exact_diag, spectrum_h0, spectrum_hho_paper
 from .circuit import build_evolution_block, circuit_unitary, phase_aligned_distance
 from .qops import MODELS, build_hamiltonian, check_couplings
 from .simulator import evolution_target, evolve_exact, probe_expectation
-from .spectral import (InsufficientPeaks, MeasurementConfig, _write_csv,
-                       check_sample_count, default_samples, detect_levels,
-                       dft_real, energy_scale_estimate, match_levels,
-                       sample_series)
+from .spectral import (DEFAULT_PROMINENCE, DEFAULT_WINDOW, InsufficientPeaks,
+                       MeasurementConfig, _write_csv, check_sample_count,
+                       default_samples, detect_levels, dft_real,
+                       energy_scale_estimate, match_levels, sample_series)
 from .spinmap import PauliCoefficients, model_coefficients, pauli_decompose, reconstruct
 
 OUTDIR_ENV = "QDOSC_OUT"
-# pipeline-level detection settings: the bell window kills the rectangular
-# sidelobes (first positive sidelobe ~13% of a peak) that would otherwise
-# compete with genuinely weak lines, and the floor is set below the weakest
-# level weight seen across the supported parameter ranges (~13% of max)
-PIPELINE_WINDOW = "hann"
-PIPELINE_PROMINENCE = 0.05
+# read by the benchmark's analyse_long; they go with ROADMAP item 1's benchmark change
+PIPELINE_WINDOW, PIPELINE_PROMINENCE = DEFAULT_WINDOW, DEFAULT_PROMINENCE
 #: longest --q-grid; each point is a full probe series
 MAX_Q_POINTS = 10_000
 #: config-file value parsers, keyed by field type without its "| None"
@@ -106,14 +102,14 @@ def _series_for_q(cfg: ExperimentConfig, q: float):
     """Probe series at q and its windowed spectrum."""
     d = model_coefficients(cfg.model, q, cfg.gamma, cfg.delta)
     ts = sample_series(d, dt=cfg.dt, m=cfg.resolved_samples(), cfg=cfg.measurement())
-    return ts, dft_real(ts, window=PIPELINE_WINDOW)
+    return ts, dft_real(ts)
 
 
 def recover_levels(cfg: ExperimentConfig, q: float):
     """Levels at q, end to end: (series, detected EnergyLevels, reference
     levels, absolute errors of the detected against the reference)."""
     ts, spec = _series_for_q(cfg, q)
-    levels = detect_levels(spec, n_expected=4, min_prominence=PIPELINE_PROMINENCE)
+    levels = detect_levels(spec, n_expected=4)
     if cfg.model == "h0":
         ref = spectrum_h0(q)
     else:
@@ -127,7 +123,7 @@ def _write_manifest(cfg: ExperimentConfig, command: str, series) -> None:
         "command": command,
         "version": __version__,
         "config": asdict(cfg),
-        "detection": {"window": PIPELINE_WINDOW, "prominence": PIPELINE_PROMINENCE},
+        "detection": {"window": DEFAULT_WINDOW, "prominence": DEFAULT_PROMINENCE},
         "per_q": [{"q": q, "dt": ts.dt, "samples": len(ts.samples)}
                   for q, ts in series],
     }

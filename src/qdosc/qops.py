@@ -11,6 +11,7 @@ matrix elements of the infinite-dimensional product on the kept block.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -48,6 +49,11 @@ def check_couplings(gamma: float, delta: float) -> None:
     if not all(math.isfinite(c) and c >= 0 for c in (gamma, delta)):
         raise ValueError(f"gamma and delta must be finite and non-negative, "
                          f"got {gamma}, {delta}")
+
+
+def is_int(x) -> bool:
+    """True for a Python or numpy integer; False for bool, floats and the rest."""
+    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
 def as_matrix(h) -> np.ndarray:

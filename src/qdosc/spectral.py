@@ -11,12 +11,6 @@ the real part of a one-sided transform would instead carry a phase ramp
 that can null a half-bin-offset peak.  Bin k maps to angular frequency
 2 pi k / (M dt), with the upper half mirrored to negative frequencies
 (arrays are stored shifted, ascending).
-
-A long series pays for one real FFT and little else: the Hann half-window
-comes from a small cache of read-only arrays, the frequency grid is built
-directly in ascending order, and the half spectrum is scaled in place.
-Spectrum requires a strictly ascending grid, so detection finds the
-positive bins as one tail and scans only that.
 """
 
 from __future__ import annotations
@@ -27,12 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .qops import is_int
 from .simulator import probe_expectation
 from .spinmap import PauliCoefficients
 
 DEFAULT_SAMPLES_EXACT = 4096
 DEFAULT_SAMPLES_SHOTS = 8192
-DEFAULT_PROMINENCE = 0.2
+#: detection settings: Hann suppresses the rectangular sidelobes (the first ~13%
+#: of a peak) that would compete with weak lines, and the prominence floor sits
+#: under the weakest level weight of the supported ranges (~13% of the tallest)
+DEFAULT_WINDOW = "hann"
+DEFAULT_PROMINENCE = 0.05
 #: most samples in one series; each is a full circuit run
 MAX_SAMPLES = 1 << 20
 #: fraction of the one-sided bandwidth pi/dt that the default dt leaves to
@@ -60,9 +59,10 @@ class MeasurementConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # the binomial draw takes the count as a C int64
-        if self.shots is not None and not 0 < self.shots <= np.iinfo(np.int64).max:
-            raise ValueError(f"shot count must be between 1 and 2**63 - 1, got {self.shots}")
+        # the binomial draw takes a C int64 count, and truncates a float one
+        if self.shots is not None and not (is_int(self.shots) and 0 < self.shots < 2**63):
+            raise ValueError(f"shot count must be an integer between 1 and 2**63 - 1, "
+                             f"got {self.shots!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -216,12 +216,13 @@ def hann_half_window(m: int) -> np.ndarray:
     return w
 
 
-def dft_real(ts: TimeSeries, window: str = "rect") -> Spectrum:
+def dft_real(ts: TimeSeries, window: str = DEFAULT_WINDOW) -> Spectrum:
     """Real spectrum of the even extension of the series.
 
     values[k] = (1/M) sum_{j=-(M-1)}^{M-1} w(|j|) s[|j|] cos(w_k j dt)
     at w_k = 2 pi k / (M dt), returned shifted so frequencies ascend from
-    -pi/dt.  A unit-amplitude on-bin cosine gives a peak value of 1 - 1/M.
+    -pi/dt.  window is "hann" (w = hann_half_window) or "rect" (w = 1); with
+    "rect" a unit-amplitude on-bin cosine gives a peak value of 1 - 1/M.
     With ws = w s the sum is 2 Re(rfft(ws))[k] - ws[0], the j = 0 term
     counted once; it is even in k, so the negative-frequency half is the
     mirror of bins 1 .. M//2.
@@ -254,10 +255,10 @@ def detect_levels(spec: Spectrum, n_expected: int = 4,
     of the parabola through its three bins, and the level is half the
     refined frequency.  If more peaks qualify than requested the tallest
     n_expected are kept, the lower frequency winning a tie; if fewer,
-    InsufficientPeaks is raised.  n_expected below 1 raises ValueError.
+    InsufficientPeaks is raised.  ValueError unless n_expected is an integer >= 1.
     """
-    if n_expected < 1:
-        raise ValueError(f"n_expected must be >= 1, got {n_expected}")
+    if not is_int(n_expected) or n_expected < 1:
+        raise ValueError(f"n_expected must be an integer >= 1, got {n_expected!r}")
     freqs, vals = spec.frequencies, spec.values
     # the grid ascends, so the bins at w > 0 are one tail of the array
     first = int(np.searchsorted(freqs, 0.0, side="right"))

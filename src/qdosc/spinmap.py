@@ -15,7 +15,8 @@ reconstruct(coeffs_h0(1)) == diag(0.5, 1.5, 2.5, 3.5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,6 +54,13 @@ class PauliCoefficients:
     d4: float
     d5: float = 0.0
     d6: float = 0.0
+
+    def __post_init__(self):
+        # Python floats, so each sample's gate angles are plain float arithmetic
+        for f in fields(self):
+            if not isinstance(v := getattr(self, f.name), numbers.Real):
+                raise ValueError(f"{f.name} must be a real number, got {v!r}")
+            object.__setattr__(self, f.name, float(v))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.d1, self.d2, self.d3, self.d4, self.d5, self.d6])

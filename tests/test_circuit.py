@@ -14,7 +14,8 @@ from scipy.linalg import expm
 
 from qdosc import (Circuit, Gate, PauliCoefficients, build_evolution_block,
                    build_protocol_circuit, circuit_unitary, model_coefficients,
-                   phase_aligned_distance, reconstruct, system_to_wires)
+                   phase_aligned_distance, reconstruct, run_circuit,
+                   system_to_wires)
 from qdosc.circuit import (_CX01, _PLUS_STATE, _PROBE_ROTATION, _branch_angles,
                            u_rows)
 
@@ -37,16 +38,16 @@ class TestGateMatrices:
                                    atol=1e-15)
 
     def test_rz_anchor(self):
-        m = Gate("RZ", (math.pi,), (0,)).local_matrix()
+        m = np.array(Gate("RZ", (math.pi,), (0,)).rows())
         np.testing.assert_allclose(m, np.diag([-1j, 1j]), atol=1e-15)
 
     def test_ry_anchor(self):
-        m = Gate("RY", (math.pi,), (0,)).local_matrix()
+        m = np.array(Gate("RY", (math.pi,), (0,)).rows())
         np.testing.assert_allclose(m, [[0, -1], [1, 0]], atol=1e-15)
 
     def test_gu_is_phased_u(self):
         g = Gate("GU", (0.3, 0.7, -0.2, 1.1), (0, 1))
-        np.testing.assert_allclose(g.local_matrix(),
+        np.testing.assert_allclose(np.array(g.rows()),
                                    np.exp(1.1j) * np.array(u_rows(0.3, 0.7, -0.2)),
                                    atol=1e-15)
 
@@ -57,7 +58,7 @@ class TestGateMatrices:
             for _ in range(5):
                 params = tuple(rng.uniform(-math.pi, math.pi, size=nparams))
                 qubits = (0,) if kind in ("H", "RZ", "RY", "U") else (0, 1)
-                m = Gate(kind, params, qubits).local_matrix()
+                m = np.array(Gate(kind, params, qubits).rows())
                 np.testing.assert_allclose(m @ m.conj().T, np.eye(len(m)),
                                            atol=1e-12)
 
@@ -71,11 +72,6 @@ class TestGateMatrices:
         rows = g.rows()
         assert len(rows) == 2 and all(len(row) == 2 for row in rows)
         assert all(type(x) is complex for row in rows for x in row)
-        m = g.local_matrix()
-        assert m.dtype == complex
-        np.testing.assert_array_equal(m, rows)
-        m[0, 0] = 7.0  # a fresh array, so the shared rows stay as they were
-        assert g.rows() == rows
 
 
 class TestGateValidation:
@@ -104,16 +100,16 @@ class TestGateValidation:
 
     def test_register_bound(self):
         with pytest.raises(ValueError):
-            Circuit(2).add("H", (), (2,))
+            Circuit(2, [Gate("H", (), (2,))])
         # numpy would read -1 as qubit 2 and -3 as qubit 0
         with pytest.raises(ValueError, match="outside the register"):
-            Circuit(3).add("H", (), (-1,))
+            Circuit(3, [Gate("H", (), (-1,))])
         with pytest.raises(ValueError, match="outside the register"):
-            Circuit(3).add("CX", (), (-3, 0))
+            Circuit(3, [Gate("CX", (), (-3, 0))])
 
     @pytest.mark.parametrize("qubits", [(-1,), (2,), (5,), (0, -2)])
     def test_register_bound_of_given_gates(self, qubits):
-        # gates handed to the constructor pass the same check as add
+        # gates handed to the constructor pass the register check
         gate = Gate("H" if len(qubits) == 1 else "CX", (), qubits)
         with pytest.raises(ValueError, match="outside the register"):
             Circuit(2, [gate])
@@ -123,21 +119,43 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="outside the register"):
             circuit_unitary(circ)
 
+    @pytest.mark.parametrize("qubit", [0.5, 1.0, True, np.float64(1.0), "1"],
+                             ids=["half", "float", "bool", "float64", "str"])
+    def test_qubits_must_be_integers(self, qubit):
+        # 0.5 would pass the bound, then run on wire int(0.5) = 0
+        gate = Gate("H", (), (qubit,))
+        with pytest.raises(ValueError, match="outside the register"):
+            Circuit(3, [gate])
+        circ = Circuit(3)
+        circ.gates.append(gate)
+        with pytest.raises(ValueError, match="outside the register"):
+            circuit_unitary(circ)
+
     def test_negative_register_size(self):
         with pytest.raises(ValueError, match="register size"):
             Circuit(-1)
         assert circuit_unitary(Circuit(0)).shape == (1, 1)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+    def test_register_size_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="register size must be an integer"):
+            Circuit(n)
+
+    def test_numpy_integers_are_accepted(self):
+        circ = Circuit(np.int64(2), [Gate("CX", (), (np.int64(1), np.int32(0)))])
+        assert circuit_unitary(circ).shape == (4, 4)
+        assert run_circuit(circ).shape == (4,)
+
 
 def test_embedding_anchors():
     # control on bit 0 (most significant): flips within the {10, 11} pair
-    cx = circuit_unitary(Circuit(2).add("CX", (), (0, 1)))
+    cx = circuit_unitary(Circuit(2, [Gate("CX", (), (0, 1))]))
     np.testing.assert_allclose(
         cx, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], atol=0.0)
 
     # control on the least significant bit, target on the most significant
-    g = Circuit(2).add("GU", (0.4, 0.2, -0.5, 0.9), (1, 0))
-    m = g.gates[0].local_matrix()
+    g = Circuit(2, [Gate("GU", (0.4, 0.2, -0.5, 0.9), (1, 0))])
+    m = np.array(g.gates[0].rows())
     expected = np.kron(np.eye(2), np.diag([1.0, 0.0])) + np.kron(m, np.diag([0.0, 1.0]))
     np.testing.assert_allclose(circuit_unitary(g), expected, atol=1e-15)
 
@@ -204,7 +222,7 @@ class TestEvolutionBlock:
     def test_generic_block_gate_count(self):
         block = build_evolution_block(model_coefficients("ho", 1.2, gamma=0.5),
                                       0.7)
-        assert len(block) == 9
+        assert len(block.gates) == 9
 
     def test_zero_time_is_identity(self):
         d = model_coefficients("ao", 0.8, delta=0.5)
@@ -273,7 +291,7 @@ class TestProtocolCircuit:
         last = circ.gates[-1]
         assert last.kind == "RY" and last.qubits == (0,)
         assert last.params == (-math.pi / 2.0,)
-        assert len(circ) == 13
+        assert len(circ.gates) == 13
 
 
 def test_phase_alignment():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qdosc import Spectrum, __version__, detect_levels, spectrum_hho_paper
+from qdosc import cli, spectral
 from qdosc.cli import MAX_Q_POINTS, ExperimentConfig, _parse_q_grid, main
 
 
@@ -35,6 +36,11 @@ def test_spectrum_undeformed_row(tmp_path):
     assert manifest["command"] == "spectrum"
     assert manifest["version"] == __version__
     assert manifest["detection"]["window"] == "hann"
+
+
+def test_pipeline_settings_are_the_library_defaults():
+    assert cli.PIPELINE_WINDOW is spectral.DEFAULT_WINDOW
+    assert cli.PIPELINE_PROMINENCE is spectral.DEFAULT_PROMINENCE
 
 
 def test_spectrum_quadratic_emits_shift_reference(tmp_path):

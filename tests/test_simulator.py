@@ -19,13 +19,13 @@ KINDS = [("H", 0, 1), ("RZ", 1, 1), ("RY", 1, 1), ("U", 3, 1),
 
 
 def random_circuit(rng, n_gates=12, n_qubits=3) -> Circuit:
-    circ = Circuit(n_qubits)
+    gates = []
     for _ in range(n_gates):
         kind, nparams, arity = KINDS[rng.integers(len(KINDS))]
         qubits = tuple(rng.choice(n_qubits, size=arity, replace=False))
-        circ.add(kind, tuple(rng.uniform(-math.pi, math.pi, size=nparams)),
-                 qubits)
-    return circ
+        params = tuple(rng.uniform(-math.pi, math.pi, size=nparams).tolist())
+        gates.append(Gate(kind, params, qubits))
+    return Circuit(n_qubits, gates)
 
 
 def random_state(rng, n_qubits=3) -> np.ndarray:
@@ -79,8 +79,8 @@ def test_every_gate_matches_dense_embedding(kind, nparams, qubits, n):
     """Each kind on each ordered qubit tuple, reversed pairs included, on
     registers of 1 to 4 wires (ids without -n are the 3-wire register)."""
     rng = np.random.default_rng(101)
-    circ = Circuit(n).add(kind, tuple(rng.uniform(-math.pi, math.pi, size=nparams)),
-                          qubits)
+    params = tuple(rng.uniform(-math.pi, math.pi, size=nparams).tolist())
+    circ = Circuit(n, [Gate(kind, params, qubits)])
     psi0 = random_state(rng, n)
     out = run_circuit(circ, psi0)
     expected = circuit_unitary(circ) @ psi0
@@ -141,7 +141,7 @@ def test_qubit_count_mismatch():
 def test_expectation_before_and_after_a_gate():
     amps = run_circuit(Circuit(2))
     assert expect_z(amps, 0) == pytest.approx(1.0)
-    amps = run_circuit(Circuit(2).add("H", (), (0,)), amps)
+    amps = run_circuit(Circuit(2, [Gate("H", (), (0,))]), amps)
     assert expect_z(amps, 0) == pytest.approx(0.0, abs=1e-15)
     assert expect_z(amps, 1) == pytest.approx(1.0)
 
@@ -233,6 +233,11 @@ class TestShots:
             MeasurementConfig(2**63)
         assert MeasurementConfig(2**63 - 1).shots == 2**63 - 1
         assert MeasurementConfig().shots is None
+        # the draw would take one trial of 1.5 while the readout divides by 1.5
+        for bad in (1.5, 16.0, True, "16"):
+            with pytest.raises(ValueError, match="shot count must be an integer"):
+                MeasurementConfig(bad)
+        assert MeasurementConfig(np.int64(16)).shots == 16
 
     def test_seed_reproducibility(self):
         d = coeffs_h0(1.0)

@@ -15,8 +15,8 @@ import pytest
 from qdosc import (InsufficientPeaks, MeasurementConfig, NyquistViolation,
                    Spectrum, TimeSeries, coeffs_h0, default_dt, detect_levels,
                    dft_real, energy_scale_estimate, match_levels,
-                   model_coefficients, PauliCoefficients, sample_series,
-                   spectrum_h0)
+                   model_coefficients, PauliCoefficients, exact_diag,
+                   reconstruct, sample_series, spectrum_h0)
 from qdosc import spectral
 from qdosc.spectral import MAX_SAMPLES, check_sample_count, hann_half_window
 
@@ -102,7 +102,7 @@ class TestSampleSeries:
 
 class TestTransform:
     def test_constant_series_peaks_only_at_zero(self):
-        spec = dft_real(TimeSeries(dt=0.1, samples=np.ones(64)))
+        spec = dft_real(TimeSeries(dt=0.1, samples=np.ones(64)), window="rect")
         k0 = np.argmin(np.abs(spec.frequencies))
         assert spec.frequencies[k0] == 0.0
         assert spec.values[k0] == pytest.approx(2.0 - 1.0 / 64.0)
@@ -111,7 +111,7 @@ class TestTransform:
     def test_on_bin_cosine(self):
         m, dt = 256, 0.1
         w0 = 2.0 * math.pi * 16 / (m * dt)
-        spec = dft_real(make_series([w0], m=m, dt=dt))
+        spec = dft_real(make_series([w0], m=m, dt=dt), window="rect")
         for sign in (+1, -1):
             k = np.argmin(np.abs(spec.frequencies - sign * w0))
             assert spec.frequencies[k] == pytest.approx(sign * w0)
@@ -160,7 +160,7 @@ class TestTransform:
 
     def test_parseval_rectangular(self):
         ts = sample_series(model_coefficients("ho", 1.3, gamma=0.5), m=128)
-        spec = dft_real(ts)
+        spec = dft_real(ts, window="rect")
         s = ts.samples
         folded = s.copy()
         folded[1:] += s[:0:-1]  # the transform's even extension, re-derived
@@ -313,7 +313,7 @@ class TestDetectLevels:
         # a count below one is refused, not read as a slice bound
         spec = dft_real(make_series([2.0, 4.0, 6.0, 8.0, 10.0]), window="hann")
         assert len(detect_levels(spec, n_expected=5, min_prominence=0.05).levels) == 5
-        for bad in (0, -1):
+        for bad in (0, -1, 2.5, 4.0, True):
             with pytest.raises(ValueError, match="n_expected"):
                 detect_levels(spec, n_expected=bad, min_prominence=0.05)
 
@@ -337,6 +337,18 @@ class TestDetectLevels:
         assert np.all(np.diff(lv.levels) > 0)
         assert np.all(lv.heights > 0)
         assert lv.bin_width == pytest.approx(2.0 * math.pi / (4096 * 0.05))
+
+    def test_library_defaults_recover_the_quartic_point(self):
+        # Hann with prominence 0.05 by default; a rectangular window with
+        # prominence 0.2 finds only three peaks here
+        d = model_coefficients("ao", 0.8, delta=0.1)
+        spec = dft_real(sample_series(d, m=2048))
+        lv = detect_levels(spec, 4)
+        errs = match_levels(lv, exact_diag(reconstruct(d)))
+        assert errs.max() < 0.5 * spec.bin_width
+        with pytest.raises(InsufficientPeaks, match="found 3 peak"):
+            detect_levels(dft_real(sample_series(d, m=2048), window="rect"), 4,
+                          min_prominence=0.2)
 
     def test_parabolic_refinement_beats_bin_rounding(self):
         m, dt = 256, 0.1

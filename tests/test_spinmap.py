@@ -1,5 +1,7 @@
 """Two-spin operator family: basis, closed-form coefficients, projection."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,22 @@ def test_coefficient_array_round_trip():
     d = PauliCoefficients(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
     np.testing.assert_array_equal(d.as_array(), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     assert PauliCoefficients(*d.as_array()) == d
+
+
+def test_coefficients_are_python_floats():
+    # converted once, so the per-sample gate angles are plain float arithmetic
+    for d in (PauliCoefficients(*np.arange(1.0, 7.0)),
+              PauliCoefficients(1, np.int64(2), 3, 4),
+              model_coefficients("ao", 1.3, delta=0.2)):
+        assert all(type(v) is float for v in astuple(d))
+
+
+@pytest.mark.parametrize("field,args", [("d1", ("1", 0, 0, 0)),
+                                        ("d4", (0, 0, 0, 1j)),
+                                        ("d6", (0, 0, 0, 0, 0, None))])
+def test_coefficients_must_be_real(field, args):
+    with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+        PauliCoefficients(*args)
 
 
 def test_model_dispatch():
