@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,14 +67,6 @@ def u_rows(theta: float, phi: float, lam: float,
     g = cmath.exp(1j * chi)
     return ((g * c, g * (-cmath.exp(1j * lam) * s)),
             (g * (cmath.exp(1j * phi) * s), g * (cmath.exp(1j * (phi + lam)) * c)))
-
-
-def check_register(qubits: tuple[int, ...], n: int) -> None:
-    """Raise ValueError unless every qubit is an integer in [0, n): numpy reads
-    a negative one as an axis from the end, and a float one passes the bound."""
-    if not all(is_int(q) and 0 <= q < n for q in qubits):
-        raise ValueError(f"qubits {tuple(qubits)} lie outside the register "
-                         f"of {n} qubits")
 
 
 @dataclass(frozen=True)
@@ -119,20 +111,27 @@ class Gate:
         return u_rows(*p)  # U, or GU with its phase chi
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
+    """Register size and gates in application order, immutable.  The one
+    register check: each qubit is an integer in [0, n) (numpy integers
+    count; bool, float and str do not), so the engine and the dense oracle
+    take the qubits as given."""
+
     n_qubits: int
-    gates: list[Gate] = field(default_factory=list)
+    gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        # one pass over the qubits; check_register words the error, or passes numpy ints
         n = self.n_qubits
         if not is_int(n) or n < 0:
             raise ValueError(f"register size must be an integer >= 0, got {n!r}")
+        object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             for q in g.qubits:
-                if type(q) is not int or not 0 <= q < n:
-                    check_register(g.qubits, n)
+                # exact ints, the protocol's only kind, skip the is_int call
+                if (type(q) is not int and not is_int(q)) or not 0 <= q < n:
+                    raise ValueError(f"qubits {g.qubits} lie outside the "
+                                     f"register of {n} qubits")
 
 
 def _branch_angles(a: float, b: float, t: float) -> tuple[float, float, float, float] | None:
@@ -211,7 +210,7 @@ def build_evolution_block(d: PauliCoefficients, t: float) -> Circuit:
 def build_protocol_circuit(d: PauliCoefficients, t: float) -> Circuit:
     """Full probe protocol: the shared plus-state H gates, the evolution
     block, and the shared probe basis rotation before readout."""
-    return Circuit(3, [*_PLUS_STATE, *_block_gates(d, t), _PROBE_ROTATION])
+    return Circuit(3, (*_PLUS_STATE, *_block_gates(d, t), _PROBE_ROTATION))
 
 
 def _embed(gate: Gate, n: int) -> np.ndarray:
@@ -240,7 +239,6 @@ def circuit_unitary(circ: Circuit) -> np.ndarray:
     """
     u = np.eye(1 << circ.n_qubits, dtype=complex)
     for g in circ.gates:
-        check_register(g.qubits, circ.n_qubits)
         u = _embed(g, circ.n_qubits) @ u
     return u
 

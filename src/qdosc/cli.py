@@ -69,7 +69,7 @@ class ExperimentConfig:
             check_sample_count(self.samples)
         if not self.out:
             raise ValueError("output directory must not be empty")
-        self.measurement()  # rejects shots <= 0 and seed < 0
+        self.measurement()  # rejects a bad shot count or seed
 
     def measurement(self) -> MeasurementConfig:
         return MeasurementConfig(self.shots, self.seed)
@@ -117,15 +117,15 @@ def recover_levels(cfg: ExperimentConfig, q: float):
     return ts, levels, ref, match_levels(levels, ref)
 
 
-def _write_manifest(cfg: ExperimentConfig, command: str, series) -> None:
-    """Record the run from its config and the (q, series) pairs it sampled."""
+def _write_manifest(cfg: ExperimentConfig, command: str, points) -> None:
+    """Record the run from its config and the (q, dt, sample count) of each
+    series it sampled."""
     manifest = {
         "command": command,
         "version": __version__,
         "config": asdict(cfg),
         "detection": {"window": DEFAULT_WINDOW, "prominence": DEFAULT_PROMINENCE},
-        "per_q": [{"q": q, "dt": ts.dt, "samples": len(ts.samples)}
-                  for q, ts in series],
+        "per_q": [{"q": q, "dt": dt, "samples": m} for q, dt, m in points],
     }
     with open(os.path.join(cfg.out, "run_manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
@@ -139,7 +139,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     header += [f"abs_err{i}" for i in range(1, 5)]
     if cfg.model == "ho":
         header += [f"e{i}_shifted_omega" for i in range(1, 5)]
-    rows, series = [], []
+    rows, points = [], []
     for q in cfg.q_grid:
         try:
             ts, levels, ref, errs = recover_levels(cfg, q)
@@ -150,10 +150,10 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
         if cfg.model == "ho":
             row += list(spectrum_hho_paper(q, cfg.gamma))
         rows.append(row)
-        series.append((q, ts))
+        points.append((q, ts.dt, len(ts.samples)))
     path = os.path.join(cfg.out, f"spectrum_{cfg.model}.csv")
     _write_csv(path, ",".join(header), *zip(*rows))
-    _write_manifest(cfg, "spectrum", series)
+    _write_manifest(cfg, "spectrum", points)
     print(f"wrote {path} ({len(rows)} q point(s))")
     return 0
 
@@ -171,7 +171,7 @@ def cmd_timeseries(cfg: ExperimentConfig) -> int:
     sp_path = os.path.join(cfg.out, f"spectrum_points_{tag}.csv")
     ts.write_csv(ts_path)
     spec.write_csv(sp_path)
-    _write_manifest(cfg, "timeseries", [(q, ts)])
+    _write_manifest(cfg, "timeseries", [(q, ts.dt, len(ts.samples))])
     print(f"wrote {ts_path} and {sp_path}")
     return 0
 

@@ -20,8 +20,8 @@ import math
 
 import numpy as np
 
-from .circuit import Circuit, build_protocol_circuit, check_register, system_to_wires
-from .qops import as_matrix
+from .circuit import Circuit, build_protocol_circuit, system_to_wires
+from .qops import as_matrix, is_int
 from .spinmap import PauliCoefficients, reconstruct
 
 
@@ -31,10 +31,9 @@ def wire_pairs(qubits: tuple[int, ...], n: int) -> tuple[tuple[int, int], ...]:
     `qubits` in an n-qubit register, qubit 0 most significant.
 
     The target is the last qubit; a control, the first of two, is held at
-    1.  Pairs ascend over the values of the other wires.  A qubit outside
-    [0, n) raises ValueError.
+    1.  Pairs ascend over the values of the other wires.  The qubits are
+    integers in [0, n), checked by the caller: Circuit or expect_z.
     """
-    check_register(qubits, n)
     # int() so that numpy-integer qubits still give Python int indices
     *cbits, tbit = (1 << int(n - 1 - q) for q in qubits)
     cmask = sum(cbits)
@@ -75,9 +74,10 @@ def expect_z(amps: np.ndarray, qubit: int) -> float:
     reads 1, over the index pairs of wire_pairs."""
     amps = np.asarray(amps)
     n = amps.size.bit_length() - 1
-    # the qubit test comes first: an empty array gives n = -1
-    if not 0 <= qubit < n or amps.shape != (1 << n,):
-        raise ValueError(f"no qubit {qubit} in amplitudes of shape {amps.shape}")
+    # the qubit test comes first: an empty array gives n = -1; is_int
+    # keeps 1.0 and True, equal keys of the (1,) cache entry, out of it
+    if not (is_int(qubit) and 0 <= qubit < n) or amps.shape != (1 << n,):
+        raise ValueError(f"no qubit {qubit!r} in amplitudes of shape {amps.shape}")
     prob = (np.abs(amps) ** 2).tolist()
     return math.fsum(prob[i] - prob[j] for i, j in wire_pairs((qubit,), n))
 

@@ -63,8 +63,8 @@ class MeasurementConfig:
         if self.shots is not None and not (is_int(self.shots) and 0 < self.shots < 2**63):
             raise ValueError(f"shot count must be an integer between 1 and 2**63 - 1, "
                              f"got {self.shots!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 class NyquistViolation(ValueError):
@@ -152,9 +152,9 @@ def default_samples(cfg: MeasurementConfig) -> int:
 def check_sample_count(m: int) -> None:
     """The transform needs a power of two of at least 16 samples, and a
     series holds at most MAX_SAMPLES."""
-    if m < 16 or m & (m - 1) or m > MAX_SAMPLES:
+    if not is_int(m) or m < 16 or m & (m - 1) or m > MAX_SAMPLES:
         raise ValueError(f"sample count must be a power of two from 16 to "
-                         f"{MAX_SAMPLES}, got {m}")
+                         f"{MAX_SAMPLES}, got {m!r}")
 
 
 def energy_scale_estimate(d: PauliCoefficients) -> float:

@@ -7,6 +7,7 @@ with the eigendecomposition route used elsewhere.
 """
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -21,6 +22,17 @@ from qdosc.circuit import (_CX01, _PLUS_STATE, _PROBE_ROTATION, _branch_angles,
 
 Z = np.diag([1.0, -1.0])
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def assert_frozen(circ: Circuit, gate: Gate) -> None:
+    """A built circuit takes no further gate and keeps its register size."""
+    assert type(circ.gates) is tuple
+    with pytest.raises(AttributeError):
+        circ.gates.append(gate)
+    with pytest.raises(FrozenInstanceError):
+        circ.gates = [gate]
+    with pytest.raises(FrozenInstanceError):
+        circ.n_qubits = 1
 
 
 def target_unitary(d: PauliCoefficients, t: float) -> np.ndarray:
@@ -113,11 +125,8 @@ class TestGateValidation:
         gate = Gate("H" if len(qubits) == 1 else "CX", (), qubits)
         with pytest.raises(ValueError, match="outside the register"):
             Circuit(2, [gate])
-        # one appended to the list directly is caught by the dense oracle
-        circ = Circuit(2)
-        circ.gates.append(gate)
-        with pytest.raises(ValueError, match="outside the register"):
-            circuit_unitary(circ)
+        # nor can one be added afterwards, so the oracle need not check again
+        assert_frozen(Circuit(2, [Gate("H", (), (1,))]), gate)
 
     @pytest.mark.parametrize("qubit", [0.5, 1.0, True, np.float64(1.0), "1"],
                              ids=["half", "float", "bool", "float64", "str"])
@@ -126,10 +135,9 @@ class TestGateValidation:
         gate = Gate("H", (), (qubit,))
         with pytest.raises(ValueError, match="outside the register"):
             Circuit(3, [gate])
-        circ = Circuit(3)
-        circ.gates.append(gate)
         with pytest.raises(ValueError, match="outside the register"):
-            circuit_unitary(circ)
+            Circuit(3, (Gate("H", (), (0,)), gate))
+        assert_frozen(Circuit(3, [Gate("H", (), (2,))]), gate)
 
     def test_negative_register_size(self):
         with pytest.raises(ValueError, match="register size"):

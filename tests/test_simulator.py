@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -122,14 +123,19 @@ def test_wire_pairs_layout_and_cache():
 
 @pytest.mark.parametrize("qubits", [(-1,), (2,), (5,), (0, -2)])
 def test_engine_rejects_a_gate_outside_the_register(qubits):
-    """A gate appended to the list directly skips Circuit's checks; numpy
-    would read a negative qubit as an axis counted from the end."""
+    """The engine runs only Circuits, which refuse such a gate when built
+    and take none afterwards; wire_pairs itself does not check."""
+    gate = Gate("H" if len(qubits) == 1 else "CX", (), qubits)
+    with pytest.raises(ValueError, match="outside the register"):
+        run_circuit(Circuit(2, [gate]))
     circ = Circuit(2)
-    circ.gates.append(Gate("H" if len(qubits) == 1 else "CX", (), qubits))
-    with pytest.raises(ValueError, match="outside the register"):
-        run_circuit(circ)
-    with pytest.raises(ValueError, match="outside the register"):
-        wire_pairs(qubits, 2)
+    with pytest.raises(AttributeError):
+        circ.gates.append(gate)
+    with pytest.raises(FrozenInstanceError):
+        circ.gates = [gate]
+    with pytest.raises(FrozenInstanceError):
+        circ.n_qubits = 1
+    assert run_circuit(circ).tolist() == [1, 0, 0, 0]
 
 
 def test_qubit_count_mismatch():
@@ -148,8 +154,11 @@ def test_expectation_before_and_after_a_gate():
 
 @pytest.mark.parametrize("amps, qubit", [(np.ones(8), 3), (np.ones(8), -1),
                                          (np.ones(6), 0), (np.ones((2, 2)), 0),
-                                         (np.ones(0), 0)])
+                                         (np.ones(0), 0), (np.ones(8), 1.0),
+                                         (np.ones(8), True)])
 def test_expectation_needs_a_qubit_of_the_register(amps, qubit):
+    # 1.0 and True equal the key of this cached wire_pairs entry
+    expect_z(np.ones(8), 1)
     with pytest.raises(ValueError, match="no qubit"):
         expect_z(amps, qubit)
 
@@ -238,6 +247,11 @@ class TestShots:
             with pytest.raises(ValueError, match="shot count must be an integer"):
                 MeasurementConfig(bad)
         assert MeasurementConfig(np.int64(16)).shots == 16
+        # the draw would fail only after the whole exact series had run
+        for bad in (1.5, None, True, "1", -1):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                MeasurementConfig(16, seed=bad)
+        assert MeasurementConfig(16, seed=np.int64(3)).seed == 3
 
     def test_seed_reproducibility(self):
         d = coeffs_h0(1.0)

@@ -81,7 +81,7 @@ class TestSampleSeries:
             sample_series(zero, m=16)
         assert calls == []
 
-    @pytest.mark.parametrize("bad_m", [8, 12, 100, 1000])
+    @pytest.mark.parametrize("bad_m", [8, 12, 100, 1000, 16.0, 32.5])
     def test_rejects_bad_sample_counts(self, bad_m):
         with pytest.raises(ValueError):
             sample_series(coeffs_h0(1.0), dt=0.1, m=bad_m)
