@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .analytic import NotBlockStructured, exact_diag, spectrum_h0, spectrum_hho_paper
 from .circuit import (Circuit, Gate, build_evolution_block, build_protocol_circuit,
-                      circuit_unitary, phase_aligned_distance, system_to_wires)
+                      circuit_unitary, phase_aligned_distance)
 from .qops import build_ladder, build_padded_power, q_number
 from .simulator import (evolution_target, evolve_exact, expect_z,
                         probe_expectation, run_circuit, total_hamiltonian)
@@ -30,7 +30,7 @@ __all__ = [
     "PauliCoefficients", "pauli_decompose", "reconstruct", "coeffs_h0",
     "coeffs_hho", "coeffs_hao", "model_coefficients", "NotInSpinFamily",
     "Gate", "Circuit", "build_evolution_block", "build_protocol_circuit",
-    "circuit_unitary", "system_to_wires", "phase_aligned_distance",
+    "circuit_unitary", "phase_aligned_distance",
     "MeasurementConfig", "run_circuit", "expect_z", "probe_expectation",
     "evolve_exact", "evolution_target", "total_hamiltonian",
     "TimeSeries", "Spectrum", "EnergyLevels", "sample_series",

@@ -1,19 +1,19 @@
 """Exact compilation of the probe-spin evolution onto a three-qubit circuit.
 
-Wire layout: q0 is the probe, q1 carries spin 2 (the diagonal spin), q2
-carries spin 1 (the rotated spin).  A four-level system state |n> with
-bits (n1 n2) is therefore stored as q1 = n2, q2 = n1; see
-system_to_wires() for the induced reordering of 4x4 system matrices.
+Wire layout: q0 is the probe and spin k sits on wire k, so q1 carries
+spin 1 (the rotated spin) and q2 spin 2 (the diagonal spin).  A
+four-level system state |n> with bits (n1 n2) is stored as q1 = n1,
+q2 = n2: the level order of spinmap is the register order below the probe.
 
-Conditioned on the computational values of q0 and q1, the generator
-z0 * H acts on q2 as a pure single-qubit rotation
+Conditioned on the computational values of q0 and q2, the generator
+z0 * H acts on q1 as a pure single-qubit rotation
 
-    exp(-i t s0 [(d3 + s1 d4) Z + (d5 + s1 d6) X]),   s = +1/-1 for bit 0/1,
+    exp(-i t s0 [(d3 + s2 d4) Z + (d5 + s2 d6) X]),   s = +1/-1 for bit 0/1,
 
 so the whole evolution block compiles exactly (no product-formula error)
 into phase gates plus controlled single-qubit rotations: every gate is a
 2x2 on its last qubit, applied where a first (control) qubit reads 1.
-The rotation for each s1 branch is written as a phased standard gate
+The rotation for each s2 branch is written as a phased standard gate
 e^{i chi} U(theta, phi, lambda); conjugated parameter sets (theta, -phi,
 -lambda, -chi) give the inverse branch because phi = lambda + pi makes
 the matrix symmetric.  _branch_angles solves one branch in closed form;
@@ -40,17 +40,8 @@ import numpy as np
 from .qops import is_int
 from .spinmap import PauliCoefficients
 
-#: reordering of four-level matrix indices into the (q1, q2) wire basis
-WIRE_PERMUTATION = (0, 2, 1, 3)
-
 #: gate kind -> (qubit count, parameter count)
 GATE_SHAPE = dict(H=(1, 0), RZ=(1, 1), RY=(1, 1), U=(1, 3), CX=(2, 0), GU=(2, 4))
-
-
-def system_to_wires(m: np.ndarray) -> np.ndarray:
-    """Reorder a 4x4 system matrix from level order to circuit wire order."""
-    p = list(WIRE_PERMUTATION)
-    return np.asarray(m)[np.ix_(p, p)]
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -114,9 +105,9 @@ class Gate:
 @dataclass(frozen=True)
 class Circuit:
     """Register size and gates in application order, immutable.  The one
-    register check: each qubit is an integer in [0, n) (numpy integers
-    count; bool, float and str do not), so the engine and the dense oracle
-    take the qubits as given."""
+    register check: gates is an iterable of Gate, and each qubit is an
+    integer in [0, n) (numpy integers count; bool, float and str do not),
+    so the engine and the dense oracle take the gates as given."""
 
     n_qubits: int
     gates: tuple[Gate, ...] = ()
@@ -125,8 +116,15 @@ class Circuit:
         n = self.n_qubits
         if not is_int(n) or n < 0:
             raise ValueError(f"register size must be an integer >= 0, got {n!r}")
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
+        try:
+            gates = tuple(self.gates)
+        except TypeError:
+            raise ValueError(f"gates must be an iterable of Gate, "
+                             f"got {self.gates!r}") from None
+        object.__setattr__(self, "gates", gates)
+        for g in gates:
+            if not isinstance(g, Gate):
+                raise ValueError(f"circuit element {g!r} is not a Gate")
             for q in g.qubits:
                 # exact ints, the protocol's only kind, skip the is_int call
                 if (type(q) is not int and not is_int(q)) or not 0 <= q < n:
@@ -168,41 +166,42 @@ def _inverse(p: tuple[float, float, float, float]) -> tuple[float, float, float,
 
 # the parameter-free protocol gates: immutable, so every circuit shares them
 _PLUS_STATE = tuple(Gate("H", (), (qb,)) for qb in range(3))
-_CX01 = Gate("CX", (), (0, 1))
+_CX02 = Gate("CX", (), (0, 2))
 _PROBE_ROTATION = Gate("RY", (-math.pi / 2.0,), (0,))
 
 
 def _block_gates(d: PauliCoefficients, t: float) -> list[Gate]:
-    """build_evolution_block's gates, the shared _CX01 in both CX slots."""
+    """build_evolution_block's gates, the shared _CX02 in both CX slots."""
     t = float(t)  # a numpy t would give numpy RZ angles; d holds Python floats
     plus = _branch_angles(d.d3 + d.d4, d.d5 + d.d6, t)
     minus = _branch_angles(d.d3 - d.d4, d.d5 - d.d6, t)
     gates = [Gate("RZ", (2.0 * d.d1 * t,), (0,))]
     if plus:
         back = _inverse(plus)
-        gates += (Gate("U", plus[:3], (2,)), Gate("GU", back, (0, 2)))
-    gates += (_CX01, Gate("RZ", (2.0 * d.d2 * t,), (1,)))
+        gates += (Gate("U", plus[:3], (1,)), Gate("GU", back, (0, 1)))
+    gates += (_CX02, Gate("RZ", (2.0 * d.d2 * t,), (2,)))
     if plus:
-        gates.append(Gate("GU", back, (1, 2)))
+        gates.append(Gate("GU", back, (2, 1)))
     if minus:
-        gates.append(Gate("GU", minus, (1, 2)))
-    gates.append(_CX01)
+        gates.append(Gate("GU", minus, (2, 1)))
+    gates.append(_CX02)
     if minus:
-        gates.append(Gate("GU", _inverse(minus), (0, 2)))
+        gates.append(Gate("GU", _inverse(minus), (0, 1)))
     return gates
 
 
 def build_evolution_block(d: PauliCoefficients, t: float) -> Circuit:
     """The standalone evolution block: equals exp(-i t z0 H) up to a global
-    phase, with H in the wire basis (see system_to_wires).
+    phase, with H in level order on (q1, q2).
 
-    Gate order: probe phase, first-branch rotation, then the controlled
-    ladder with a CX(0, 1) pair rerouting the controls of the middle two
-    rotations through q1.  The probe/spin-2 coupling exp(-i d2 t z0 z1)
-    commutes with the first ladder rotation, and CX(0, 1) carries z0 z1 to
-    z1, so it sits right after the first CX as RZ(q1, 2 d2 t).  Each branch
-    emits its GU parameters or their negation (the inverse rotation); a
-    branch with j = 0 emits no rotation gates.  Built by _block_gates.
+    Gate order: probe phase, first-branch rotation on q1, then the
+    controlled ladder with a CX(0, 2) pair rerouting the controls of the
+    middle two rotations through q2.  The probe/spin-2 coupling
+    exp(-i d2 t z0 z2) commutes with the first ladder rotation, and
+    CX(0, 2) carries z0 z2 to z2, so it sits right after the first CX as
+    RZ(q2, 2 d2 t).  Each branch emits its GU parameters or their negation
+    (the inverse rotation); a branch with j = 0 emits no rotation gates.
+    Built by _block_gates.
     """
     return Circuit(3, _block_gates(d, t))
 

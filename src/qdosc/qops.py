@@ -57,10 +57,14 @@ def is_int(x) -> bool:
 
 
 def as_matrix(h) -> np.ndarray:
-    """The 4x4 float array of a system Hamiltonian; any other shape raises."""
+    """The 4x4 float array of a system Hamiltonian.  Any other shape, or a
+    NaN or inf entry, which a later `x > tol` check would let through,
+    raises ValueError."""
     m = np.asarray(h, dtype=float)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("expected a finite 4x4 matrix, got NaN or inf entries")
     return m
 
 

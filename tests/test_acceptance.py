@@ -18,7 +18,7 @@ from qdosc import (Gate, MeasurementConfig, PauliCoefficients,
                    evolve_exact, model_coefficients, pauli_decompose,
                    phase_aligned_distance, probe_expectation, reconstruct,
                    run_circuit, sample_series, spectrum_hho_paper,
-                   system_to_wires, total_hamiltonian)
+                   total_hamiltonian)
 from qdosc.cli import ExperimentConfig, recover_levels
 from qdosc.qops import build_hamiltonian
 
@@ -62,7 +62,7 @@ def test_compiled_block_matches_exponential():
         for t in (0.1, 0.7, 1.3):
             for tag, d, _ in all_models(q):
                 target = expm(-1j * t * np.kron(np.diag([1.0, -1.0]),
-                                                system_to_wires(reconstruct(d))))
+                                                reconstruct(d)))
                 got = circuit_unitary(build_evolution_block(d, t))
                 dist = phase_aligned_distance(got, target)
                 assert dist < 1e-9, f"{tag} q={q} t={t}: {dist:.2e}"

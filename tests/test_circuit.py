@@ -14,10 +14,10 @@ import pytest
 from scipy.linalg import expm
 
 from qdosc import (Circuit, Gate, PauliCoefficients, build_evolution_block,
-                   build_protocol_circuit, circuit_unitary, model_coefficients,
-                   phase_aligned_distance, reconstruct, run_circuit,
-                   system_to_wires)
-from qdosc.circuit import (_CX01, _PLUS_STATE, _PROBE_ROTATION, _branch_angles,
+                   build_protocol_circuit, circuit_unitary, coeffs_h0,
+                   model_coefficients, phase_aligned_distance, reconstruct,
+                   run_circuit)
+from qdosc.circuit import (_CX02, _PLUS_STATE, _PROBE_ROTATION, _branch_angles,
                            u_rows)
 
 Z = np.diag([1.0, -1.0])
@@ -36,9 +36,8 @@ def assert_frozen(circ: Circuit, gate: Gate) -> None:
 
 
 def target_unitary(d: PauliCoefficients, t: float) -> np.ndarray:
-    """exp(-i t z0 (x) H) with H reordered into the wire basis."""
-    hw = system_to_wires(reconstruct(d))
-    return expm(-1j * t * np.kron(Z, hw))
+    """exp(-i t z0 (x) H) with H = reconstruct(d) in level order."""
+    return expm(-1j * t * np.kron(Z, reconstruct(d)))
 
 
 class TestGateMatrices:
@@ -139,6 +138,12 @@ class TestGateValidation:
             Circuit(3, (Gate("H", (), (0,)), gate))
         assert_frozen(Circuit(3, [Gate("H", (), (2,))]), gate)
 
+    @pytest.mark.parametrize("gates", [[object()], [1], "HH", None, 5],
+                             ids=["object", "int", "str", "none", "scalar"])
+    def test_gates_must_be_an_iterable_of_gates(self, gates):
+        with pytest.raises(ValueError, match="Gate"):
+            Circuit(3, gates)
+
     def test_negative_register_size(self):
         with pytest.raises(ValueError, match="register size"):
             Circuit(-1)
@@ -168,9 +173,14 @@ def test_embedding_anchors():
     np.testing.assert_allclose(circuit_unitary(g), expected, atol=1e-15)
 
 
-def test_wire_reordering_pin():
-    hw = system_to_wires(np.diag([0.5, 1.5, 2.5, 3.5]))
-    np.testing.assert_allclose(hw, np.diag([0.5, 2.5, 1.5, 3.5]), atol=0.0)
+def test_wire_order_is_level_order():
+    # levels 0.5..3.5 in plain index order: |n> = |n1 n2> sits on (q1, q2)
+    t = 0.7
+    e = np.array([0.5, 1.5, 2.5, 3.5])
+    u = circuit_unitary(build_evolution_block(coeffs_h0(1.0), t))
+    np.testing.assert_allclose(u, np.diag(np.diag(u)), atol=1e-12)
+    target = np.diag(np.exp(-1j * t * np.concatenate([e, -e])))
+    assert phase_aligned_distance(u, target) < 1e-12
 
 
 class TestBranchAngles:
@@ -222,7 +232,7 @@ class TestEvolutionBlock:
         d = PauliCoefficients(0.7, -0.3, 0.0, 0.0, 0.0, 0.0)
         block = build_evolution_block(d, 1.1)
         assert [g.kind for g in block.gates] == ["RZ", "CX", "RZ", "CX"]
-        assert block.gates[2].qubits == (1,)
+        assert block.gates[2].qubits == (2,)
         dist = phase_aligned_distance(circuit_unitary(block),
                                       target_unitary(d, 1.1))
         assert dist < 1e-12
@@ -242,15 +252,15 @@ class TestEvolutionBlock:
 BRANCH_CASES = {
     "generic": (model_coefficients("ao", 1.3, delta=0.3),
                 ["RZ", "U", "GU", "CX", "RZ", "GU", "GU", "CX", "GU"],
-                [(0,), (2,), (0, 2), (0, 1), (1,), (1, 2), (1, 2), (0, 1), (0, 2)]),
+                [(0,), (1,), (0, 1), (0, 2), (2,), (2, 1), (2, 1), (0, 2), (0, 1)]),
     "plus-none": (PauliCoefficients(0.7, -0.3, 0.4, -0.4, 0.2, -0.2),
                   ["RZ", "CX", "RZ", "GU", "CX", "GU"],
-                  [(0,), (0, 1), (1,), (1, 2), (0, 1), (0, 2)]),
+                  [(0,), (0, 2), (2,), (2, 1), (0, 2), (0, 1)]),
     "minus-none": (PauliCoefficients(0.7, -0.3, 0.4, 0.4, 0.2, 0.2),
                    ["RZ", "U", "GU", "CX", "RZ", "GU", "CX"],
-                   [(0,), (2,), (0, 2), (0, 1), (1,), (1, 2), (0, 1)]),
+                   [(0,), (1,), (0, 1), (0, 2), (2,), (2, 1), (0, 2)]),
     "both-none": (PauliCoefficients(0.7, -0.3, 0.0, 0.0, 0.0, 0.0),
-                  ["RZ", "CX", "RZ", "CX"], [(0,), (0, 1), (1,), (0, 1)]),
+                  ["RZ", "CX", "RZ", "CX"], [(0,), (0, 2), (2,), (0, 2)]),
 }
 
 
@@ -274,9 +284,9 @@ class TestProtocolCircuit:
         a, b = build_protocol_circuit(d, 0.3), build_protocol_circuit(d, 0.9)
         for circ in (a, b):
             assert all(circ.gates[i] is _PLUS_STATE[i] for i in range(3))
-            assert circ.gates[6] is circ.gates[10] is _CX01
+            assert circ.gates[6] is circ.gates[10] is _CX02
             assert circ.gates[-1] is _PROBE_ROTATION
-        assert build_evolution_block(d, 0.3).gates[3] is _CX01
+        assert build_evolution_block(d, 0.3).gates[3] is _CX02
         # the t-dependent gates are new objects with new angles
         assert a.gates[4] is not b.gates[4] and a.gates[4] != b.gates[4]
 

@@ -65,7 +65,10 @@ def test_consumers_take_only_a_4x4_matrix():
     for consume in (pauli_decompose, exact_diag, total_hamiltonian,
                     lambda h: evolve_exact(h, 0.3)):
         consume(np.eye(4).tolist())
-        for bad in (np.eye(3), np.zeros((2, 8)), np.ones(16)):
+        for bad in (np.eye(3), np.zeros((2, 8)), np.ones(16),
+                    np.full((4, 4), np.nan), np.full((4, 4), np.inf),
+                    np.diag([1.0, 2.0, 3.0, -np.inf])):
+            # a NaN or inf entry slips through every `x > tol` check
             with pytest.raises(ValueError, match="4x4"):
                 consume(bad)
         with pytest.raises(TypeError):

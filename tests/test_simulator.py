@@ -216,6 +216,12 @@ class TestEvolveExact:
             expected = float(np.sum(weights * np.cos(2.0 * w * t)))
             assert evolve_exact(reconstruct(d), t) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -np.inf])
+    def test_time_must_be_finite(self, t):
+        # a NaN value would pass the imaginary-part check, whose >= is False
+        with pytest.raises(ValueError, match="must be finite"):
+            evolve_exact(build_hamiltonian("h0", 1.0), t)
+
 
 def test_total_hamiltonian_spectrum_symmetry():
     # probe coupling makes the 8-level spectrum symmetric about zero
