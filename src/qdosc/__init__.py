@@ -12,8 +12,8 @@ from .analytic import NotBlockStructured, exact_diag, spectrum_h0, spectrum_hho_
 from .circuit import (Circuit, Gate, build_evolution_block, build_protocol_circuit,
                       circuit_unitary, phase_aligned_distance)
 from .qops import build_ladder, build_padded_power, q_number
-from .simulator import (evolution_target, evolve_exact, expect_z,
-                        probe_expectation, run_circuit, total_hamiltonian)
+from .simulator import (evolution_target, evolve_exact, probe_expectation,
+                        run_circuit, total_hamiltonian)
 from .spectral import (EnergyLevels, InsufficientPeaks, MeasurementConfig,
                        NyquistViolation, Spectrum, TimeSeries, default_dt,
                        detect_levels, dft_real, energy_scale_estimate,
@@ -31,7 +31,7 @@ __all__ = [
     "coeffs_hho", "coeffs_hao", "model_coefficients", "NotInSpinFamily",
     "Gate", "Circuit", "build_evolution_block", "build_protocol_circuit",
     "circuit_unitary", "phase_aligned_distance",
-    "MeasurementConfig", "run_circuit", "expect_z", "probe_expectation",
+    "MeasurementConfig", "run_circuit", "probe_expectation",
     "evolve_exact", "evolution_target", "total_hamiltonian",
     "TimeSeries", "Spectrum", "EnergyLevels", "sample_series",
     "dft_real", "detect_levels", "match_levels", "default_dt",

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qops import is_int
+from .qops import finite_time, is_int
 from .spinmap import PauliCoefficients
 
 #: gate kind -> (qubit count, parameter count)
@@ -172,7 +172,7 @@ _PROBE_ROTATION = Gate("RY", (-math.pi / 2.0,), (0,))
 
 def _block_gates(d: PauliCoefficients, t: float) -> list[Gate]:
     """build_evolution_block's gates, the shared _CX02 in both CX slots."""
-    t = float(t)  # a numpy t would give numpy RZ angles; d holds Python floats
+    t = finite_time(t)  # a numpy t would give numpy RZ angles; d holds Python floats
     plus = _branch_angles(d.d3 + d.d4, d.d5 + d.d6, t)
     minus = _branch_angles(d.d3 - d.d4, d.d5 - d.d6, t)
     gates = [Gate("RZ", (2.0 * d.d1 * t,), (0,))]

@@ -59,7 +59,7 @@ class ExperimentConfig:
                 with np.errstate(over="ignore", invalid="ignore"):
                     d = model_coefficients(self.model, q, self.gamma, self.delta)
                     finite = math.isfinite(2.0 * energy_scale_estimate(d))
-            except OverflowError:
+            except (OverflowError, ValueError):  # ValueError: an inf/NaN coefficient
                 finite = False
             if not finite:
                 raise ValueError(f"q={q}: {self.model} coefficients or their sum overflow")

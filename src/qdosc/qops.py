@@ -51,6 +51,13 @@ def check_couplings(gamma: float, delta: float) -> None:
                          f"got {gamma}, {delta}")
 
 
+def finite_time(t) -> float:
+    """An evolution time as a Python float; ValueError unless it is finite."""
+    if not math.isfinite(t := float(t)):
+        raise ValueError(f"evolution time must be finite, got {t!r}")
+    return t
+
+
 def is_int(x) -> bool:
     """True for a Python or numpy integer; False for bool, floats and the rest."""
     return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
@@ -112,13 +119,12 @@ def build_padded_power(kind: str, q: float) -> np.ndarray:
         raise ValueError(f"unknown operator kind {kind!r}, expected one of {sorted(PAD)}")
     b, bd = build_ladder(4 + PAD[kind], q)
     pref = (1.0 + q) / 4.0
-    if kind == "X2":
-        m = pref * (bd + b) @ (bd + b)
-    elif kind == "P2":
+    if kind == "P2":
         m = -pref * (bd - b) @ (bd - b)
     else:
-        x2 = pref * (bd + b) @ (bd + b)
-        m = x2 @ x2
+        m = pref * (bd + b) @ (bd + b)
+        if kind == "X4":
+            m = m @ m
     return m[:4, :4]
 
 

@@ -6,10 +6,10 @@ time directly to the state (cost O(2^n) per gate); the full unitary is
 never materialized here.  Every gate is one 2x2 on its target, so one
 rule (run_circuit) in scalar Python arithmetic over a list of amplitudes
 covers every kind: on a three-qubit register a few products per gate
-cost less than the numpy calls of a gather/matmul/scatter.  A
-state is a plain complex array of 2^n amplitudes.  Every function is
-pure, so independent runs can proceed concurrently; the cached index
-pairs are immutable tuples.
+cost less than the numpy calls of a gather/matmul/scatter.  A state is a
+plain complex array of 2^n amplitudes, and the one readout is the probe's
+<Z> on q0 (probe_expectation).  Every function is pure, so independent
+runs can proceed concurrently; the cached index pairs are immutable tuples.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .circuit import Circuit, build_protocol_circuit
-from .qops import as_matrix, is_int
+from .qops import as_matrix, finite_time
 from .spinmap import PauliCoefficients, reconstruct
 
 
@@ -31,7 +31,8 @@ def wire_pairs(qubits: tuple[int, ...], n: int) -> tuple[tuple[int, int], ...]:
 
     The target is the last qubit; a control, the first of two, is held at
     1.  Pairs ascend over the values of the other wires.  The qubits are
-    integers in [0, n), checked by the caller: Circuit or expect_z.
+    those of a Gate in a Circuit, whose constructor checks them as integers
+    in [0, n); this function does not.
     """
     # int() so that numpy-integer qubits still give Python int indices
     *cbits, tbit = (1 << int(n - 1 - q) for q in qubits)
@@ -68,19 +69,6 @@ def run_circuit(circ: Circuit, amps: np.ndarray | None = None) -> np.ndarray:
     return np.array(out, dtype=complex)
 
 
-def expect_z(amps: np.ndarray, qubit: int) -> float:
-    """<Z> of one qubit: the weight where it reads 0 minus that where it
-    reads 1, over the index pairs of wire_pairs."""
-    amps = np.asarray(amps)
-    n = amps.size.bit_length() - 1
-    # the qubit test comes first: an empty array gives n = -1; is_int
-    # keeps 1.0 and True, equal keys of the (1,) cache entry, out of it
-    if not (is_int(qubit) and 0 <= qubit < n) or amps.shape != (1 << n,):
-        raise ValueError(f"no qubit {qubit!r} in amplitudes of shape {amps.shape}")
-    prob = (np.abs(amps) ** 2).tolist()
-    return math.fsum(prob[i] - prob[j] for i, j in wire_pairs((qubit,), n))
-
-
 def probe_expectation(d: PauliCoefficients, t: float) -> float:
     """Exact probe observable at time t, read off the compiled protocol circuit.
 
@@ -88,7 +76,10 @@ def probe_expectation(d: PauliCoefficients, t: float) -> float:
     probe x-expectation under the evolution.  Shot readout is a separate
     step over a whole series (spectral.sample_series).
     """
-    return expect_z(run_circuit(build_protocol_circuit(d, t)), 0)
+    prob = (np.abs(run_circuit(build_protocol_circuit(d, t))) ** 2).tolist()
+    # q0 is the top bit of three: k reads 0 and k + 4 reads 1, the pairs of
+    # wire_pairs((0,), 3) in order, so the sum is the same to the last bit
+    return math.fsum(prob[k] - prob[k + 4] for k in range(4))
 
 
 def total_hamiltonian(h) -> np.ndarray:
@@ -106,8 +97,7 @@ def evolve_exact(h, t: float) -> float:
     rounding raises RuntimeError.  h is the 4x4 system matrix, for instance
     reconstruct(d) of a coefficient set; t must be finite.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"evolution time must be finite, got {t!r}")
+    t = finite_time(t)
     w, vecs = np.linalg.eigh(total_hamiltonian(h))
     psi0 = np.full(8, 1.0 / math.sqrt(8.0))
     overlaps = vecs.T.conj() @ psi0
@@ -122,7 +112,8 @@ def evolution_target(d: PauliCoefficients, t: float) -> np.ndarray:
 
     This is the matrix the compiled evolution block must reproduce up to a
     global phase.  Computed by eigendecomposition of the Hermitian
-    generator, a route independent of the gate compilation.
+    generator, a route independent of the gate compilation.  t must be finite.
     """
+    t = finite_time(t)
     w, vecs = np.linalg.eigh(total_hamiltonian(reconstruct(d)))
     return (vecs * np.exp(-1j * w * t)) @ vecs.T.conj()

@@ -15,6 +15,7 @@ reconstruct(coeffs_h0(1)) == diag(0.5, 1.5, 2.5, 3.5).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, fields
 
@@ -56,9 +57,10 @@ class PauliCoefficients:
     d6: float = 0.0
 
     def __post_init__(self):
-        # Python floats, so each sample's gate angles are plain float arithmetic
+        # finite Python floats, so every gate angle is plain float arithmetic, not NaN
         for f in fields(self):
-            if not isinstance(v := getattr(self, f.name), numbers.Real):
+            v = getattr(self, f.name)
+            if not (isinstance(v, numbers.Real) and math.isfinite(v)):
                 raise ValueError(f"{f.name} must be a real number, got {v!r}")
             object.__setattr__(self, f.name, float(v))
 

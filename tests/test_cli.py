@@ -130,7 +130,8 @@ class TestConfig:
             ExperimentConfig(shots=0)
         with pytest.raises(ValueError):
             ExperimentConfig(q_grid=())
-        with pytest.raises(ValueError):  # X4 entries overflow to nan
+        # X4 entries overflow to inf/nan, which PauliCoefficients refuses
+        with pytest.raises(ValueError, match="ao coefficients or their sum overflow"):
             ExperimentConfig(model="ao", q_grid=(1e50,), delta=0.3)
 
 
@@ -295,6 +296,7 @@ EDGE_CASES = [
     # short grid; samples off the power-of-two rule or one step past the cap
     (["spectrum", "--model=ho", "--q=1e200"], None, 2),
     (["spectrum", "--model=ao", "--q=1.0", "--delta=5e306"], None, 2),
+    (["spectrum", "--model=ao", "--q=1e60", "--delta=0.5"], None, 2),
     (["timeseries", "--model=ao", "--delta=5e306"], None, 2),
     (["spectrum", "--q-grid=1.2:0.8:0.1"], None, 2),
     (["spectrum", "--q-grid=1:2"], None, 2),

@@ -1,7 +1,8 @@
 """Static checks of the sources.
 
 The library checks its invariants with raises: `python -O` strips assert.
-No module, library or test, imports a name it never uses.
+No module, library or test, imports a name it never uses.  Every public
+name in qdosc.__all__ is defined by the package, once.
 """
 
 import ast
@@ -41,3 +42,12 @@ def test_no_unused_imports():
     for path in sorted(library + list(Path(__file__).parent.glob("*.py"))):
         found += _unused_imports(path)
     assert found == []
+
+
+def test_every_public_name_resolves_once():
+    # nothing else runs `from qdosc import *`, which a name left in __all__
+    # but dropped from the imports would break
+    assert len(set(qdosc.__all__)) == len(qdosc.__all__)
+    namespace = {}
+    exec("from qdosc import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(qdosc.__all__)

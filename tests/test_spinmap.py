@@ -122,8 +122,12 @@ def test_coefficients_are_python_floats():
 
 @pytest.mark.parametrize("field,args", [("d1", ("1", 0, 0, 0)),
                                         ("d4", (0, 0, 0, 1j)),
-                                        ("d6", (0, 0, 0, 0, 0, None))])
+                                        ("d6", (0, 0, 0, 0, 0, None)),
+                                        ("d1", (float("nan"), 0, 0, 0)),
+                                        ("d3", (0, 0, np.inf, 0)),
+                                        ("d5", (0, 0, 0, 0, -np.inf))])
 def test_coefficients_must_be_real(field, args):
+    # a NaN or inf field would give NaN gate angles and a NaN probe value
     with pytest.raises(ValueError, match=f"^{field} must be a real number"):
         PauliCoefficients(*args)
 
