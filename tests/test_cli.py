@@ -241,6 +241,40 @@ def test_unresolved_peaks_error_names_the_q_point(tmp_path, capsys):
     assert "q=1.0" in err and "peak" in err
 
 
+def test_default_exact_run_reads_512_samples(tmp_path):
+    assert main(["spectrum", "--model", "ho", "--q", "1.1", "--gamma", "0.4",
+                 "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["per_q"][0]["samples"] == spectral.FIRST_SAMPLES_EXACT == 512
+    row = load_rows(tmp_path / "spectrum_ho.csv")[0]
+    assert row[9:13].max() <= 1e-12 * row[8]
+
+
+def test_default_exact_run_falls_back_to_4096_samples(tmp_path):
+    # at 512 samples two lines of this point share one FFT peak
+    assert main(["spectrum", "--model", "ao", "--q", "2.2", "--delta", "0.5",
+                 "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["per_q"][0]["samples"] == spectral.DEFAULT_SAMPLES_EXACT == 4096
+    row = load_rows(tmp_path / "spectrum_ao.csv")[0]
+    assert row[9:13].max() <= 1e-12 * row[8]
+
+
+def test_default_shot_run_reads_one_8192_sample_series(tmp_path):
+    assert main(["spectrum", "--model", "h0", "--q", "1.0", "--shots", "1024",
+                 "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["per_q"][0]["samples"] == spectral.DEFAULT_SAMPLES_SHOTS == 8192
+
+
+def test_explicit_sample_count_never_falls_back(tmp_path, capsys):
+    rc = main(["spectrum", "--model", "ao", "--q", "2.2", "--delta", "0.5",
+               "--samples", "512", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "error: q=2.2: found 3 peak(s)" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def _flag_cases(argv, flag, values, codes):
     return [(argv + [f"{flag}={v}"], None, c) for v, c in zip(values, codes)]
 

@@ -10,6 +10,11 @@ The files in tests/golden/ are the output of
 The timeseries CSV pins the seeded shot counts at 64 shots, where numpy
 draws most binomials by inversion; the ao spectrum CSV pins the levels
 recovered from 1024-shot counts, which numpy mostly draws by rejection.
+The three spectrum CSVs hold the levels of the line fit seeded by the FFT
+peaks (spectral.fit_levels), and were regenerated when that fit replaced
+the parabolic peak vertex: their q and reference columns stayed bit for
+bit, and every abs_err fell (ho to 3.6e-15 from 8.8e-3, h0 to 1.1e-16 from
+8.7e-3, ao to 1.1e-4 from 1.1e-2).
 The spectrum_points CSV pins the transform (window, real FFT, scaling,
 mirror and frequency grid) to the last bit of every repr.  These seeded
 files are compared byte for byte.  The ho and h0 runs read the exact
@@ -42,7 +47,7 @@ RUNS = {
                     "--samples", "1024"],
 }
 #: bound on any level, reference or error value of an exact-mode golden;
-#: levels are read to within half a bin, about 1e-3 here, and rounding in
+#: the line fit reads the levels to within a few 1e-15, and rounding in
 #: the exact series moves them by about 1e-13
 EXACT_ATOL = 1e-9
 

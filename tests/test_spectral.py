@@ -361,6 +361,69 @@ class TestDetectLevels:
         assert abs(2.0 * lv.levels[0] - w0) < 0.25 * lv.bin_width
 
 
+def bin_lines(bins, weights, m=256, dt=0.1):
+    """Series of cosines at the given (fractional) bins of an m-point grid,
+    and EnergyLevels seeding each of them at the given bins."""
+    width = 2.0 * math.pi / (m * dt)
+    s = sum(c * np.cos(2.0 * math.pi * u * np.arange(m) / m)
+            for u, c in zip(bins, weights))
+    return TimeSeries(dt=dt, samples=s), width
+
+
+def seed_at(bins, width):
+    return spectral.EnergyLevels(levels=0.5 * width * np.asarray(bins, dtype=float),
+                                 heights=np.ones(len(bins)), bin_width=width)
+
+
+class TestFitLevels:
+    def test_recovers_off_grid_lines_from_their_fft_peaks(self):
+        ts, width = bin_lines([20.3, 23.6, 41.15, 70.5], [0.4, 0.3, 0.2, 0.1])
+        seed = detect_levels(dft_real(ts), 4)
+        lv = spectral.fit_levels(ts, seed)
+        np.testing.assert_allclose(2.0 * lv.levels / width, [20.3, 23.6, 41.15, 70.5],
+                                   rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(lv.heights, [0.4, 0.3, 0.2, 0.1], atol=1e-9)
+        assert lv.bin_width == seed.bin_width
+
+    def test_returns_ascending_levels_for_unordered_seeds(self):
+        ts, width = bin_lines([20.3, 30.6], [0.7, 0.3])
+        lv = spectral.fit_levels(ts, seed_at([30.5, 20.2], width))
+        np.testing.assert_allclose(2.0 * lv.levels / width, [20.3, 30.6], atol=1e-10)
+        np.testing.assert_allclose(lv.heights, [0.7, 0.3], atol=1e-9)
+
+    def test_beats_the_parabolic_vertex_on_the_undeformed_series(self):
+        ts = sample_series(coeffs_h0(1.0), dt=0.05, m=512)
+        seed = detect_levels(dft_real(ts), 4)
+        lv = spectral.fit_levels(ts, seed)
+        assert np.abs(seed.levels - spectrum_h0(1.0)).max() > 1e-3
+        np.testing.assert_allclose(lv.levels, spectrum_h0(1.0), rtol=0.0, atol=1e-12)
+
+    def test_a_negative_weight_fails_and_names_the_weight(self):
+        ts, width = bin_lines([20.3, 40.7], [1.0, -0.3])
+        with pytest.raises(InsufficientPeaks, match=r"weight -0\.3, not above 0"):
+            spectral.fit_levels(ts, seed_at([20.3, 40.7], width))
+
+    def test_a_line_too_far_from_its_seed_fails_and_names_the_shift(self, monkeypatch):
+        # the fit settles on the line 0.3 bins off; a 0.1-bin limit refuses it
+        ts, width = bin_lines([20.3], [1.0])
+        assert spectral.fit_levels(ts, seed_at([20.6], width)).levels[0] == \
+            pytest.approx(0.5 * width * 20.3, abs=1e-12)
+        monkeypatch.setattr(spectral, "FIT_MAX_SHIFT", 0.1)
+        with pytest.raises(InsufficientPeaks, match=r"by 0\.3 bins, more than 0\.1"):
+            spectral.fit_levels(ts, seed_at([20.6], width))
+
+    def test_a_fit_that_does_not_settle_fails(self, monkeypatch):
+        ts, width = bin_lines([20.3], [1.0])
+        monkeypatch.setattr(spectral, "FIT_MAX_ITER", 1)
+        with pytest.raises(InsufficientPeaks, match="did not settle in 1 iterations"):
+            spectral.fit_levels(ts, seed_at([20.6], width))
+
+    def test_seed_from_another_grid_is_refused(self):
+        ts, width = bin_lines([20.3], [1.0])
+        with pytest.raises(ValueError, match="bin width"):
+            spectral.fit_levels(ts, seed_at([20.3], 2.0 * width))
+
+
 class TestMatchLevels:
     def test_exact_match(self):
         ts = sample_series(coeffs_h0(1.0), dt=0.05, m=1024)
