@@ -16,11 +16,11 @@ from .analytic import exact_diag, spectrum_h0, spectrum_hho_paper
 from .circuit import build_evolution_block, circuit_unitary, phase_aligned_distance
 from .qops import MODELS, build_hamiltonian, check_couplings
 from .simulator import evolution_target, evolve_exact, probe_expectation
-from .spectral import (DEFAULT_PROMINENCE, DEFAULT_SAMPLES_EXACT, DEFAULT_WINDOW,
-                       FIRST_SAMPLES_EXACT, InsufficientPeaks, MeasurementConfig,
-                       _write_csv, check_sample_count, default_samples,
-                       detect_levels, dft_real, energy_scale_estimate,
-                       fit_levels, match_levels, sample_series)
+from .spectral import (DEFAULT_PROMINENCE, DEFAULT_WINDOW, FIRST_SAMPLES_EXACT,
+                       InsufficientPeaks, MeasurementConfig, _write_csv,
+                       check_sample_count, default_samples, detect_levels,
+                       dft_real, energy_scale_estimate, fit_levels,
+                       match_levels, pencil_levels, sample_series)
 from .spinmap import PauliCoefficients, model_coefficients, pauli_decompose, reconstruct
 
 OUTDIR_ENV = "QDOSC_OUT"
@@ -110,23 +110,25 @@ def recover_levels(cfg: ExperimentConfig, q: float):
     """Levels at q, end to end: (series, fitted EnergyLevels, reference
     levels, absolute errors of the fitted against the reference).
 
-    The FFT peaks of the series seed the line fit.  Exact readout with no
-    sample count given reads FIRST_SAMPLES_EXACT samples first, and reads
-    DEFAULT_SAMPLES_EXACT only if that series raises InsufficientPeaks;
-    otherwise the one series has the configured or default length.
+    One series is read, and its FFT peaks seed the line fit.  Exact readout
+    with no sample count given reads FIRST_SAMPLES_EXACT samples, and if
+    the FFT seed raises InsufficientPeaks, pencil_levels on the same series
+    seeds the fit again; the error names both failures if that raises too.
+    Otherwise the series has the configured or default length and the FFT
+    seed is the only one.
     """
-    if cfg.samples is None and cfg.shots is None:
-        counts = (FIRST_SAMPLES_EXACT, DEFAULT_SAMPLES_EXACT)
-    else:
-        counts = (cfg.resolved_samples(),)
-    for m in counts:
-        ts, spec = _series_for_q(cfg, q, m)
+    rescue = cfg.samples is None and cfg.shots is None
+    ts, spec = _series_for_q(cfg, q, FIRST_SAMPLES_EXACT if rescue
+                             else cfg.resolved_samples())
+    try:
+        levels = fit_levels(ts, detect_levels(spec, n_expected=4))
+    except InsufficientPeaks as fft_failure:
+        if not rescue:
+            raise
         try:
-            levels = fit_levels(ts, detect_levels(spec, n_expected=4))
-            break
-        except InsufficientPeaks:
-            if m == counts[-1]:
-                raise
+            levels = fit_levels(ts, pencil_levels(ts, n=4))
+        except InsufficientPeaks as exc:
+            raise InsufficientPeaks(f"{fft_failure}; {exc}") from exc
     if cfg.model == "h0":
         ref = spectrum_h0(q)
     else:

@@ -17,7 +17,10 @@ parabolic vertex (up to about 0.22 bins of bias), and fit_levels fits the
 series itself to sum_k c_k cos(2 E_k t) from those seeds.  The fit reads
 exact series to about 1e-15 of the top level from 512 samples, where the
 vertex is off by up to 1.4e-3, and 8192 samples of 1024-shot readout to a
-few 1e-6, where the vertex is off by up to 8.5e-5.
+few 1e-6, where the vertex is off by up to 8.5e-5.  Where two lines share
+one FFT peak, pencil_levels seeds the fit instead: a matrix pencil reads
+the lines as the poles of the series' Hankel matrix, with no bin grid, so
+128 exact samples seed every point of q 0.2 to 3.0 that the FFT loses.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from .spinmap import PauliCoefficients
 
 DEFAULT_SAMPLES_EXACT = 4096
 DEFAULT_SAMPLES_SHOTS = 8192
-#: exact-readout series length the CLI tries before DEFAULT_SAMPLES_EXACT; at
-#: 256 samples the FFT seed loses points that 512 resolves
-FIRST_SAMPLES_EXACT = 512
+#: exact-readout series length the CLI reads when no sample count is given;
+#: the FFT seeds the fit where it resolves four peaks, pencil_levels elsewhere
+FIRST_SAMPLES_EXACT = 128
 #: detection settings: Hann suppresses the rectangular sidelobes (the first ~13%
 #: of a peak) that would compete with weak lines, and the prominence floor sits
 #: under the weakest level weight of the supported ranges (~13% of the tallest)
@@ -47,6 +50,15 @@ DEFAULT_PROMINENCE = 0.05
 FIT_MAX_ITER = 30
 FIT_TOL = 1e-10
 FIT_MAX_SHIFT = 1.0
+#: matrix pencil (pencil_levels): the floor on singular value 2n as a fraction
+#: of the first, six orders above the ~1e-15 round-off of an exact series (at
+#: 128 samples q 0.2-3.0 reads at least 5.8e-8, ao at q = 4 at most 5e-10), and
+#: how far in modulus a pole may sit from the unit circle
+PENCIL_MIN_SINGULAR = 1e-9
+PENCIL_RADIUS_TOL = 1e-6
+#: longest series pencil_levels reads: its SVD costs the cube of the length
+#: (0.7 ms at 128 samples, 55 ms at 1024, 0.5 s at 2048)
+PENCIL_MAX_SAMPLES = 1024
 #: most samples in one series; each is a full circuit run
 MAX_SAMPLES = 1 << 20
 #: fraction of the one-sided bandwidth pi/dt that the default dt leaves to
@@ -141,8 +153,8 @@ class Spectrum:
 @dataclass(frozen=True)
 class EnergyLevels:
     """Levels (ascending), their peak heights (detect_levels) or fitted
-    line weights (fit_levels), and the bin width of the spectrum they came
-    from."""
+    line weights (fit_levels, pencil_levels), and the bin width of the
+    spectrum they came from."""
 
     levels: np.ndarray
     heights: np.ndarray
@@ -306,9 +318,10 @@ def _normal_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The line fit's columns are well conditioned (at most 16 over a grid
     wider than the supported ranges), so squaring that costs nothing the
     iteration does not correct: it stops where a.T @ residual vanishes
-    either way.  The tall matrix stays out of LAPACK, whose threaded
-    least-squares routines run several times slower when another process
-    holds the other cores.
+    either way; the pencil's shift solve has near-orthonormal columns.
+    The tall matrix stays out of LAPACK, whose threaded least-squares
+    routines run several times slower when another process holds the
+    other cores.
     """
     return np.linalg.lstsq(a.T @ a, a.T @ b, rcond=None)[0]
 
@@ -368,6 +381,60 @@ def fit_levels(ts: TimeSeries, seed: EnergyLevels) -> EnergyLevels:
     order = np.argsort(u)
     return EnergyLevels(levels=0.5 * width * u[order], heights=weights[order],
                         bin_width=seed.bin_width)
+
+
+def pencil_levels(ts: TimeSeries, n: int = 4) -> EnergyLevels:
+    """Levels of the n lines of sum_k c_k cos(2 E_k t) by matrix pencil.
+
+    Each line is the pole pair exp(+-2i E_k dt) of the series, so the
+    Hankel matrix H[i, j] = s[i + j] (window M/2) has rank 2n.  Its 2n
+    leading right singular vectors V span the lines, the poles are the
+    eigenvalues of the shift V[:-1]^+ V[1:], and E = angle / (2 dt) for
+    the n poles of positive angle (Hua and Sarkar, IEEE Trans. ASSP 1990).
+    InsufficientPeaks names the check that failed: the series must hold 2n
+    poles, singular value 2n must exceed PENCIL_MIN_SINGULAR of the first
+    (no line missing or without weight), every pole must lie within
+    PENCIL_RADIUS_TOL of the unit circle (no decay), and exactly n must
+    have a positive angle.  Returns the levels ascending, their
+    least-squares line weights as heights, and the series' bin width, so
+    the result seeds fit_levels.  ValueError unless n is an integer >= 1
+    and the series holds at most PENCIL_MAX_SAMPLES samples.
+    """
+    if not is_int(n) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    s = ts.samples
+    m = len(s)
+    if m > PENCIL_MAX_SAMPLES:
+        raise ValueError(f"matrix pencil reads at most {PENCIL_MAX_SAMPLES} "
+                         f"samples, got {m}")
+    window = m // 2
+    if window < 2 * n:
+        raise InsufficientPeaks(f"matrix pencil: {m} samples cannot hold {2 * n} "
+                                f"poles, it needs at least {4 * n}")
+    hankel = np.lib.stride_tricks.sliding_window_view(s, window + 1)
+    _, sv, vh = np.linalg.svd(hankel, full_matrices=False)
+    if not sv[2 * n - 1] > PENCIL_MIN_SINGULAR * sv[0]:
+        ratio = sv[2 * n - 1] / sv[0] if sv[0] else 0.0  # 0 for an all-zero series
+        raise InsufficientPeaks(
+            f"matrix pencil: singular value {2 * n} is {ratio:.3g} of the first, "
+            f"not above {PENCIL_MIN_SINGULAR:g}; a line is missing or has no weight")
+    v = vh[:2 * n].T
+    poles = np.linalg.eigvals(_normal_lstsq(v[:-1], v[1:]))
+    radius = np.abs(poles)
+    off = int(np.argmax(np.abs(radius - 1.0)))
+    if not abs(radius[off] - 1.0) <= PENCIL_RADIUS_TOL:
+        raise InsufficientPeaks(
+            f"matrix pencil: a pole has modulus {radius[off]:.9g}, more than "
+            f"{PENCIL_RADIUS_TOL:g} off the unit circle")
+    angles = np.angle(poles)
+    angles = np.sort(angles[angles > 0.0])
+    if len(angles) != n:
+        raise InsufficientPeaks(f"matrix pencil: {len(angles)} pole(s) have a "
+                                f"positive angle, needed {n}")
+    levels = angles / (2.0 * ts.dt)
+    weights = _normal_lstsq(np.cos(np.multiply.outer(ts.times(), 2.0 * levels)), s)
+    return EnergyLevels(levels=levels, heights=weights,
+                        bin_width=2.0 * math.pi / (m * ts.dt))
 
 
 def match_levels(detected: EnergyLevels, reference) -> np.ndarray:

@@ -21,7 +21,7 @@ from qdosc import (Gate, InsufficientPeaks, MeasurementConfig, PauliCoefficients
                    total_hamiltonian)
 from qdosc.cli import ExperimentConfig, recover_levels
 from qdosc.qops import build_hamiltonian
-from qdosc.spectral import fit_levels
+from qdosc.spectral import FIRST_SAMPLES_EXACT, fit_levels, pencil_levels
 
 Q_SIX = (0.5, 0.8, 1.0, 1.2, 1.5, 2.0)
 Q_SWEEP = tuple(np.round(np.arange(0.5, 2.0001, 0.1), 12))
@@ -212,12 +212,16 @@ def test_detection_envelope_is_exact_or_refused():
     the closed-form series sum_k c_k cos(2 E_k t) at 512 and at 4096
     samples reads every level within 1e-12 of the top level, or raises
     InsufficientPeaks: it is never silently wrong.  It recovers 111 of the
-    135 points at 512 samples, 128 at 4096 and 129 with the command line's
-    512-then-4096 rule (ao at q = 0.4, delta = 1 only at 512)."""
+    135 points at 512 samples, 128 at 4096 and 129 with the former
+    512-then-4096 rule (ao at q = 0.4, delta = 1 only at 512).  The command
+    line's default rule, the FFT seed and then the matrix pencil seed on
+    one 128-sample series, recovers all 135 within 1e-12 of the top
+    level."""
     points = [("h0", 0.0, 0.0)]
     points += [("ho", gamma, 0.0) for gamma in (0.1, 0.5, 1.0, 2.0)]
     points += [("ao", 0.0, delta) for delta in (0.1, 0.5, 1.0, 2.0)]
     recovered = {512: set(), 4096: set()}
+    default_rule = set()
     for model, gamma, delta in points:
         for q in np.round(np.arange(0.2, 3.0001, 0.2), 12):
             d = model_coefficients(model, q, gamma, delta)
@@ -234,5 +238,15 @@ def test_detection_envelope_is_exact_or_refused():
                 err = np.abs(lv.levels - levels).max() / levels[-1]
                 assert err <= 1e-12, f"{model} {gamma} {delta} q={q} m={m}: {err:.2e}"
                 recovered[m].add((model, gamma, delta, q))
+            t = dt * np.arange(FIRST_SAMPLES_EXACT)
+            ts = TimeSeries(dt, np.cos(2.0 * np.outer(t, levels)) @ weights)
+            try:
+                lv = fit_levels(ts, detect_levels(dft_real(ts), 4))
+            except InsufficientPeaks:
+                lv = fit_levels(ts, pencil_levels(ts, 4))
+            err = np.abs(lv.levels - levels).max() / levels[-1]
+            assert err <= 1e-12, f"{model} {gamma} {delta} q={q} default rule: {err:.2e}"
+            default_rule.add((model, gamma, delta, q))
     assert len(recovered[512]) >= 111 and len(recovered[4096]) >= 128
     assert len(recovered[512] | recovered[4096]) >= 129
+    assert FIRST_SAMPLES_EXACT == 128 and len(default_rule) == len(points) * 15 == 135

@@ -241,23 +241,46 @@ def test_unresolved_peaks_error_names_the_q_point(tmp_path, capsys):
     assert "q=1.0" in err and "peak" in err
 
 
-def test_default_exact_run_reads_512_samples(tmp_path):
+def test_default_exact_run_reads_128_samples(tmp_path):
     assert main(["spectrum", "--model", "ho", "--q", "1.1", "--gamma", "0.4",
                  "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-    assert manifest["per_q"][0]["samples"] == spectral.FIRST_SAMPLES_EXACT == 512
+    assert manifest["per_q"][0]["samples"] == spectral.FIRST_SAMPLES_EXACT == 128
     row = load_rows(tmp_path / "spectrum_ho.csv")[0]
     assert row[9:13].max() <= 1e-12 * row[8]
 
 
-def test_default_exact_run_falls_back_to_4096_samples(tmp_path):
-    # at 512 samples two lines of this point share one FFT peak
+def test_default_exact_run_seeds_from_the_pencil_on_one_series(tmp_path, monkeypatch):
+    # at 128 samples two lines of this point share one FFT peak
+    calls = []
+
+    def count(name):
+        real = getattr(spectral, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, call)
+    count("sample_series")
+    count("pencil_levels")
     assert main(["spectrum", "--model", "ao", "--q", "2.2", "--delta", "0.5",
                  "--out", str(tmp_path)]) == 0
+    assert calls == ["sample_series", "pencil_levels"]
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-    assert manifest["per_q"][0]["samples"] == spectral.DEFAULT_SAMPLES_EXACT == 4096
+    assert manifest["per_q"][0]["samples"] == spectral.FIRST_SAMPLES_EXACT == 128
     row = load_rows(tmp_path / "spectrum_ao.csv")[0]
     assert row[9:13].max() <= 1e-12 * row[8]
+
+
+def test_default_exact_run_names_both_seeds_when_both_fail(tmp_path, capsys):
+    # at q = 4 the closest lines are 0.14 bins apart at 128 samples
+    rc = main(["spectrum", "--model", "ao", "--q", "4.0", "--delta", "0.5",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: q=4.0: found 2 peak(s)" in err
+    assert "matrix pencil: singular value 8 is" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_default_shot_run_reads_one_8192_sample_series(tmp_path):

@@ -424,6 +424,67 @@ class TestFitLevels:
             spectral.fit_levels(ts, seed_at([20.3], 2.0 * width))
 
 
+class TestPencilLevels:
+    def test_recovers_lines_less_than_a_bin_apart(self):
+        bins = [20.3, 20.9, 41.15, 70.5]
+        ts, width = bin_lines(bins, [0.4, 0.3, 0.2, 0.1])
+        with pytest.raises(InsufficientPeaks, match="found 3 peak"):
+            detect_levels(dft_real(ts), 4)
+        seed = spectral.pencil_levels(ts, 4)
+        assert seed.bin_width == width
+        np.testing.assert_allclose(seed.heights, [0.4, 0.3, 0.2, 0.1], atol=1e-9)
+        lv = spectral.fit_levels(ts, seed)
+        np.testing.assert_allclose(lv.levels, 0.5 * width * np.array(bins),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_a_line_without_weight_fails_the_singular_value_check(self):
+        ts, _ = bin_lines([20.3, 33.6, 41.15, 70.5], [0.4, 0.3, 0.0, 0.1])
+        with pytest.raises(InsufficientPeaks, match=r"singular value 8 is .* of the "
+                                                    r"first, not above 1e-09"):
+            spectral.pencil_levels(ts, 4)
+        with pytest.raises(InsufficientPeaks, match="singular value 8 is 0 of the first"):
+            spectral.pencil_levels(TimeSeries(ts.dt, np.zeros(256)), 4)
+
+    def test_a_decaying_series_fails_the_unit_circle_check(self):
+        ts, _ = bin_lines([20.3, 33.6, 41.15, 70.5], [0.4, 0.3, 0.2, 0.1])
+        decayed = TimeSeries(ts.dt, ts.samples * np.exp(-np.arange(256) / 200.0))
+        with pytest.raises(InsufficientPeaks, match=r"modulus 0\.99501\d*, more than "
+                                                    r"1e-06 off the unit circle"):
+            spectral.pencil_levels(decayed, 4)
+
+    def test_a_series_too_short_for_2n_poles_fails(self):
+        ts, width = bin_lines([2.3, 3.6, 4.15, 7.5], [0.4, 0.3, 0.2, 0.1], m=16)
+        np.testing.assert_allclose(spectral.pencil_levels(ts, 4).levels,
+                                   0.5 * width * np.array([2.3, 3.6, 4.15, 7.5]),
+                                   rtol=1e-9)
+        short = TimeSeries(ts.dt, ts.samples[:15])
+        with pytest.raises(InsufficientPeaks, match="15 samples cannot hold 8 poles, "
+                                                    "it needs at least 16"):
+            spectral.pencil_levels(short, 4)
+
+    def test_poles_on_the_real_axis_fail_the_count(self, monkeypatch):
+        # a real series gives conjugate pole pairs; fold them onto the real axis
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.abs(eigvals(a)))
+        ts, _ = bin_lines([20.3, 33.6, 41.15, 70.5], [0.4, 0.3, 0.2, 0.1])
+        with pytest.raises(InsufficientPeaks, match=r"0 pole\(s\) have a positive "
+                                                    r"angle, needed 4"):
+            spectral.pencil_levels(ts, 4)
+
+    @pytest.mark.parametrize("n", [0, -1, 2.0, "4"])
+    def test_line_count_must_be_a_positive_integer(self, n):
+        ts, _ = bin_lines([20.3], [1.0])
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            spectral.pencil_levels(ts, n)
+
+    def test_a_series_longer_than_the_cap_is_refused(self):
+        ts, _ = bin_lines([20.3], [1.0], m=spectral.PENCIL_MAX_SAMPLES)
+        spectral.pencil_levels(ts, 1)
+        ts, _ = bin_lines([20.3], [1.0], m=spectral.PENCIL_MAX_SAMPLES + 1)
+        with pytest.raises(ValueError, match="reads at most 1024 samples, got 1025"):
+            spectral.pencil_levels(ts, 1)
+
+
 class TestMatchLevels:
     def test_exact_match(self):
         ts = sample_series(coeffs_h0(1.0), dt=0.05, m=1024)
