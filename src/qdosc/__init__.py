@@ -17,7 +17,8 @@ from .simulator import (evolution_target, evolve_exact, probe_expectation,
 from .spectral import (EnergyLevels, InsufficientPeaks, MeasurementConfig,
                        NyquistViolation, Spectrum, TimeSeries, default_dt,
                        detect_levels, dft_real, energy_scale_estimate,
-                       fit_levels, match_levels, pencil_levels, sample_series)
+                       fit_levels, match_levels, pencil_levels, read_levels,
+                       sample_series)
 from .spinmap import (NotInSpinFamily, PauliCoefficients, coeffs_h0, coeffs_hao,
                       coeffs_hho, model_coefficients, pauli_decompose, reconstruct)
 # the package-level build_hamiltonian is the old (model, 4, q, ModelParams)
@@ -34,7 +35,8 @@ __all__ = [
     "MeasurementConfig", "run_circuit", "probe_expectation",
     "evolve_exact", "evolution_target", "total_hamiltonian",
     "TimeSeries", "Spectrum", "EnergyLevels", "sample_series",
-    "dft_real", "detect_levels", "fit_levels", "pencil_levels", "match_levels",
+    "dft_real", "detect_levels", "fit_levels", "pencil_levels", "read_levels",
+    "match_levels",
     "default_dt", "energy_scale_estimate", "NyquistViolation", "InsufficientPeaks",
     "spectrum_h0", "spectrum_hho_paper", "exact_diag", "NotBlockStructured",
 ]

@@ -16,11 +16,10 @@ from .analytic import exact_diag, spectrum_h0, spectrum_hho_paper
 from .circuit import build_evolution_block, circuit_unitary, phase_aligned_distance
 from .qops import MODELS, build_hamiltonian, check_couplings
 from .simulator import evolution_target, evolve_exact, probe_expectation
-from .spectral import (DEFAULT_PROMINENCE, DEFAULT_WINDOW, FIRST_SAMPLES_EXACT,
-                       InsufficientPeaks, MeasurementConfig, _write_csv,
-                       check_sample_count, default_samples, detect_levels,
-                       dft_real, energy_scale_estimate, fit_levels,
-                       match_levels, pencil_levels, sample_series)
+from .spectral import (DEFAULT_PROMINENCE, DEFAULT_WINDOW, InsufficientPeaks,
+                       MeasurementConfig, _write_csv, check_sample_count,
+                       default_samples, dft_real, energy_scale_estimate,
+                       match_levels, read_levels, sample_series)
 from .spinmap import PauliCoefficients, model_coefficients, pauli_decompose, reconstruct
 
 OUTDIR_ENV = "QDOSC_OUT"
@@ -99,36 +98,17 @@ class ExperimentConfig:
         return cls(**values)
 
 
-def _series_for_q(cfg: ExperimentConfig, q: float, m: int):
-    """Probe series of m samples at q and its windowed spectrum."""
-    d = model_coefficients(cfg.model, q, cfg.gamma, cfg.delta)
-    ts = sample_series(d, dt=cfg.dt, m=m, cfg=cfg.measurement())
-    return ts, dft_real(ts)
-
-
 def recover_levels(cfg: ExperimentConfig, q: float):
     """Levels at q, end to end: (series, fitted EnergyLevels, reference
     levels, absolute errors of the fitted against the reference).
 
-    One series is read, and its FFT peaks seed the line fit.  Exact readout
-    with no sample count given reads FIRST_SAMPLES_EXACT samples, and if
-    the FFT seed raises InsufficientPeaks, pencil_levels on the same series
-    seeds the fit again; the error names both failures if that raises too.
-    Otherwise the series has the configured or default length and the FFT
-    seed is the only one.
+    One series of cfg.resolved_samples() samples is read, and read_levels
+    takes its levels: the FFT seed first, the matrix pencil seed if that
+    fails, with one InsufficientPeaks naming both causes if both fail.
     """
-    rescue = cfg.samples is None and cfg.shots is None
-    ts, spec = _series_for_q(cfg, q, FIRST_SAMPLES_EXACT if rescue
-                             else cfg.resolved_samples())
-    try:
-        levels = fit_levels(ts, detect_levels(spec, n_expected=4))
-    except InsufficientPeaks as fft_failure:
-        if not rescue:
-            raise
-        try:
-            levels = fit_levels(ts, pencil_levels(ts, n=4))
-        except InsufficientPeaks as exc:
-            raise InsufficientPeaks(f"{fft_failure}; {exc}") from exc
+    d = model_coefficients(cfg.model, q, cfg.gamma, cfg.delta)
+    ts = sample_series(d, dt=cfg.dt, m=cfg.resolved_samples(), cfg=cfg.measurement())
+    levels = read_levels(ts, n=4)
     if cfg.model == "h0":
         ref = spectrum_h0(q)
     else:
@@ -181,7 +161,8 @@ def cmd_timeseries(cfg: ExperimentConfig) -> int:
     """Emit the sampled series and its spectrum for the first grid q."""
     q = cfg.q_grid[0]
     try:
-        ts, spec = _series_for_q(cfg, q, cfg.resolved_samples())
+        d = model_coefficients(cfg.model, q, cfg.gamma, cfg.delta)
+        ts = sample_series(d, dt=cfg.dt, m=cfg.resolved_samples(), cfg=cfg.measurement())
     except ValueError as exc:
         print(f"error: q={q}: {exc}", file=sys.stderr)
         return 1
@@ -189,7 +170,7 @@ def cmd_timeseries(cfg: ExperimentConfig) -> int:
     ts_path = os.path.join(cfg.out, f"timeseries_{tag}.csv")
     sp_path = os.path.join(cfg.out, f"spectrum_points_{tag}.csv")
     ts.write_csv(ts_path)
-    spec.write_csv(sp_path)
+    dft_real(ts).write_csv(sp_path)
     _write_manifest(cfg, "timeseries", [(q, ts.dt, len(ts.samples))])
     print(f"wrote {ts_path} and {sp_path}")
     return 0

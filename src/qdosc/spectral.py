@@ -21,6 +21,8 @@ few 1e-6, where the vertex is off by up to 8.5e-5.  Where two lines share
 one FFT peak, pencil_levels seeds the fit instead: a matrix pencil reads
 the lines as the poles of the series' Hankel matrix, with no bin grid, so
 128 exact samples seed every point of q 0.2 to 3.0 that the FFT loses.
+read_levels is that rule, FFT seed first and pencil seed second, for a
+series of any length, readout and origin.
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ from .qops import is_int
 from .simulator import probe_expectation
 from .spinmap import PauliCoefficients
 
-DEFAULT_SAMPLES_EXACT = 4096
+#: series lengths when none is given: 128 exact samples let read_levels
+#: recover every point of q 0.2 to 3.0; shot readout takes more to average
+#: down its noise
+DEFAULT_SAMPLES_EXACT = 128
 DEFAULT_SAMPLES_SHOTS = 8192
-#: exact-readout series length the CLI reads when no sample count is given;
-#: the FFT seeds the fit where it resolves four peaks, pencil_levels elsewhere
-FIRST_SAMPLES_EXACT = 128
 #: detection settings: Hann suppresses the rectangular sidelobes (the first ~13%
 #: of a peak) that would compete with weak lines, and the prominence floor sits
 #: under the weakest level weight of the supported ranges (~13% of the tallest)
@@ -173,8 +175,7 @@ def _write_csv(path, header: str, *columns) -> None:
 
 
 def default_samples(cfg: MeasurementConfig) -> int:
-    """Sample count used when none is given; shot readout takes more to
-    average down its noise."""
+    """Sample count used when none is given."""
     return DEFAULT_SAMPLES_EXACT if cfg.shots is None else DEFAULT_SAMPLES_SHOTS
 
 
@@ -397,16 +398,16 @@ def pencil_levels(ts: TimeSeries, n: int = 4) -> EnergyLevels:
     PENCIL_RADIUS_TOL of the unit circle (no decay), and exactly n must
     have a positive angle.  Returns the levels ascending, their
     least-squares line weights as heights, and the series' bin width, so
-    the result seeds fit_levels.  ValueError unless n is an integer >= 1
-    and the series holds at most PENCIL_MAX_SAMPLES samples.
+    the result seeds fit_levels.  A series longer than PENCIL_MAX_SAMPLES
+    is refused the same way; ValueError unless n is an integer >= 1.
     """
     if not is_int(n) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     s = ts.samples
     m = len(s)
     if m > PENCIL_MAX_SAMPLES:
-        raise ValueError(f"matrix pencil reads at most {PENCIL_MAX_SAMPLES} "
-                         f"samples, got {m}")
+        raise InsufficientPeaks(f"matrix pencil reads at most {PENCIL_MAX_SAMPLES} "
+                                f"samples, got {m}")
     window = m // 2
     if window < 2 * n:
         raise InsufficientPeaks(f"matrix pencil: {m} samples cannot hold {2 * n} "
@@ -435,6 +436,20 @@ def pencil_levels(ts: TimeSeries, n: int = 4) -> EnergyLevels:
     weights = _normal_lstsq(np.cos(np.multiply.outer(ts.times(), 2.0 * levels)), s)
     return EnergyLevels(levels=levels, heights=weights,
                         bin_width=2.0 * math.pi / (m * ts.dt))
+
+
+def read_levels(ts: TimeSeries, n: int = 4) -> EnergyLevels:
+    """Levels of the n lines of the series: fit_levels seeded by the FFT
+    peaks (dft_real, detect_levels) and, if that seed or its fit raises
+    InsufficientPeaks, seeded by pencil_levels on the same series.  If both
+    fail, one InsufficientPeaks names both causes, the FFT's first."""
+    try:
+        return fit_levels(ts, detect_levels(dft_real(ts), n))
+    except InsufficientPeaks as fft_failure:
+        try:
+            return fit_levels(ts, pencil_levels(ts, n))
+        except InsufficientPeaks as exc:
+            raise InsufficientPeaks(f"{fft_failure}; {exc}") from exc
 
 
 def match_levels(detected: EnergyLevels, reference) -> np.ndarray:

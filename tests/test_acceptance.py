@@ -14,14 +14,13 @@ from scipy.linalg import expm
 
 from qdosc import (Gate, InsufficientPeaks, MeasurementConfig, PauliCoefficients,
                    TimeSeries, build_evolution_block, build_protocol_circuit,
-                   circuit_unitary, coeffs_h0, default_dt, detect_levels,
-                   dft_real, evolution_target, evolve_exact, model_coefficients,
+                   circuit_unitary, coeffs_h0, default_dt, dft_real,
+                   evolution_target, evolve_exact, model_coefficients,
                    pauli_decompose, phase_aligned_distance, probe_expectation,
-                   reconstruct, run_circuit, sample_series, spectrum_hho_paper,
-                   total_hamiltonian)
+                   read_levels, reconstruct, run_circuit, sample_series,
+                   spectrum_hho_paper, total_hamiltonian)
 from qdosc.cli import ExperimentConfig, recover_levels
 from qdosc.qops import build_hamiltonian
-from qdosc.spectral import FIRST_SAMPLES_EXACT, fit_levels, pencil_levels
 
 Q_SIX = (0.5, 0.8, 1.0, 1.2, 1.5, 2.0)
 Q_SWEEP = tuple(np.round(np.arange(0.5, 2.0001, 0.1), 12))
@@ -207,46 +206,40 @@ def test_invariant_suite():
 
 
 def test_detection_envelope_is_exact_or_refused():
-    """Over a grid wider than the supported ranges (q 0.2 to 3.0; h0, and
-    ho and ao at couplings 0.1, 0.5, 1 and 2), the FFT-seeded line fit of
-    the closed-form series sum_k c_k cos(2 E_k t) at 512 and at 4096
-    samples reads every level within 1e-12 of the top level, or raises
-    InsufficientPeaks: it is never silently wrong.  It recovers 111 of the
-    135 points at 512 samples, 128 at 4096 and 129 with the former
-    512-then-4096 rule (ao at q = 0.4, delta = 1 only at 512).  The command
-    line's default rule, the FFT seed and then the matrix pencil seed on
-    one 128-sample series, recovers all 135 within 1e-12 of the top
-    level."""
+    """Over a grid wider than the supported ranges (q 0.2 to 3.0, then 4 and
+    5; h0, and ho and ao at couplings 0.1, 0.5, 1 and 2), read_levels, the
+    rule the command line runs, reads every level of the closed-form series
+    sum_k c_k cos(2 E_k t) within 1e-12 of the top level, or raises
+    InsufficientPeaks: it is never silently wrong.  At 128 and at 512
+    samples it recovers all 135 points of q 0.2 to 3.0; at 4096 the pencil
+    refuses the length, so the FFT seed alone recovers 128.  Of the 1,377
+    short series (16, 32 and 64 samples at the default dt and at 0.3 and
+    0.1 of it), the FFT seed alone recovers 128 and the rule 631."""
     points = [("h0", 0.0, 0.0)]
     points += [("ho", gamma, 0.0) for gamma in (0.1, 0.5, 1.0, 2.0)]
     points += [("ao", 0.0, delta) for delta in (0.1, 0.5, 1.0, 2.0)]
-    recovered = {512: set(), 4096: set()}
-    default_rule = set()
+    runs = [(m, 1.0) for m in (128, 512, 4096)]
+    runs += [(m, scale) for m in (16, 32, 64) for scale in (1.0, 0.3, 0.1)]
+    recovered = {run: set() for run in runs}
     for model, gamma, delta in points:
-        for q in np.round(np.arange(0.2, 3.0001, 0.2), 12):
+        for q in (*np.round(np.arange(0.2, 3.0001, 0.2), 12), 4.0, 5.0):
             d = model_coefficients(model, q, gamma, delta)
             levels, vecs = np.linalg.eigh(reconstruct(d))
             weights = vecs.sum(axis=0) ** 2 / 4.0
-            dt = default_dt(d)
-            for m in recovered:
+            for m, scale in runs:
+                dt = scale * default_dt(d)
                 t = dt * np.arange(m)
                 ts = TimeSeries(dt, np.cos(2.0 * np.outer(t, levels)) @ weights)
                 try:
-                    lv = fit_levels(ts, detect_levels(dft_real(ts), 4))
+                    lv = read_levels(ts, 4)
                 except InsufficientPeaks:
                     continue
                 err = np.abs(lv.levels - levels).max() / levels[-1]
-                assert err <= 1e-12, f"{model} {gamma} {delta} q={q} m={m}: {err:.2e}"
-                recovered[m].add((model, gamma, delta, q))
-            t = dt * np.arange(FIRST_SAMPLES_EXACT)
-            ts = TimeSeries(dt, np.cos(2.0 * np.outer(t, levels)) @ weights)
-            try:
-                lv = fit_levels(ts, detect_levels(dft_real(ts), 4))
-            except InsufficientPeaks:
-                lv = fit_levels(ts, pencil_levels(ts, 4))
-            err = np.abs(lv.levels - levels).max() / levels[-1]
-            assert err <= 1e-12, f"{model} {gamma} {delta} q={q} default rule: {err:.2e}"
-            default_rule.add((model, gamma, delta, q))
-    assert len(recovered[512]) >= 111 and len(recovered[4096]) >= 128
-    assert len(recovered[512] | recovered[4096]) >= 129
-    assert FIRST_SAMPLES_EXACT == 128 and len(default_rule) == len(points) * 15 == 135
+                assert err <= 1e-12, f"{model} {gamma} {delta} q={q} m={m} dt*{scale}: {err:.2e}"
+                recovered[m, scale].add((model, gamma, delta, q))
+
+    def wide(run):
+        return {p for p in recovered[run] if p[3] <= 3.0}
+    assert len(wide((128, 1.0))) == len(wide((512, 1.0))) == len(points) * 15 == 135
+    assert len(wide((4096, 1.0))) >= 128
+    assert sum(len(recovered[m, s]) for m, s in runs if m <= 64) >= 600

@@ -233,19 +233,22 @@ def test_aliasing_error_names_the_q_point(tmp_path, capsys):
 
 
 def test_unresolved_peaks_error_names_the_q_point(tmp_path, capsys):
-    # 32 samples at dt = 0.05 put all four lines below two bins
+    # 16 samples at dt = 0.05 put all four lines inside the first bin, and
+    # span too little of the slowest line for the pencil to see eight poles
     rc = main(["spectrum", "--model", "h0", "--q", "1.0", "--dt", "0.05",
-               "--samples", "32", "--out", str(tmp_path)])
+               "--samples", "16", "--out", str(tmp_path)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "q=1.0" in err and "peak" in err
+    assert "error: q=1.0: found 0 peak(s)" in err
+    assert "; matrix pencil: singular value 8 is" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_default_exact_run_reads_128_samples(tmp_path):
     assert main(["spectrum", "--model", "ho", "--q", "1.1", "--gamma", "0.4",
                  "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-    assert manifest["per_q"][0]["samples"] == spectral.FIRST_SAMPLES_EXACT == 128
+    assert manifest["per_q"][0]["samples"] == spectral.DEFAULT_SAMPLES_EXACT == 128
     row = load_rows(tmp_path / "spectrum_ho.csv")[0]
     assert row[9:13].max() <= 1e-12 * row[8]
 
@@ -254,20 +257,20 @@ def test_default_exact_run_seeds_from_the_pencil_on_one_series(tmp_path, monkeyp
     # at 128 samples two lines of this point share one FFT peak
     calls = []
 
-    def count(name):
-        real = getattr(spectral, name)
+    def count(module, name):
+        real = getattr(module, name)
 
         def call(*args, **kwargs):
             calls.append(name)
             return real(*args, **kwargs)
-        monkeypatch.setattr(cli, name, call)
-    count("sample_series")
-    count("pencil_levels")
+        monkeypatch.setattr(module, name, call)
+    count(cli, "sample_series")
+    count(spectral, "pencil_levels")
     assert main(["spectrum", "--model", "ao", "--q", "2.2", "--delta", "0.5",
                  "--out", str(tmp_path)]) == 0
     assert calls == ["sample_series", "pencil_levels"]
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-    assert manifest["per_q"][0]["samples"] == spectral.FIRST_SAMPLES_EXACT == 128
+    assert manifest["per_q"][0]["samples"] == spectral.DEFAULT_SAMPLES_EXACT == 128
     row = load_rows(tmp_path / "spectrum_ao.csv")[0]
     assert row[9:13].max() <= 1e-12 * row[8]
 
@@ -290,12 +293,17 @@ def test_default_shot_run_reads_one_8192_sample_series(tmp_path):
     assert manifest["per_q"][0]["samples"] == spectral.DEFAULT_SAMPLES_SHOTS == 8192
 
 
-def test_explicit_sample_count_never_falls_back(tmp_path, capsys):
-    rc = main(["spectrum", "--model", "ao", "--q", "2.2", "--delta", "0.5",
-               "--samples", "512", "--out", str(tmp_path)])
-    assert rc == 1
-    assert "error: q=2.2: found 3 peak(s)" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+def test_explicit_sample_count_takes_the_default_rule(tmp_path):
+    # the FFT cannot seed this point at 128 or 512 samples; the pencil does,
+    # whether or not the sample count was given
+    argv = ["spectrum", "--model", "ao", "--q", "2.2", "--delta", "0.5"]
+    for name, extra in (("default", []), ("given", ["--samples", "128"]),
+                        ("512", ["--samples", "512"])):
+        assert main(argv + extra + ["--out", str(tmp_path / name)]) == 0
+    csv = "spectrum_ao.csv"
+    assert (tmp_path / "given" / csv).read_bytes() == (tmp_path / "default" / csv).read_bytes()
+    row = load_rows(tmp_path / "512" / csv)[0]
+    assert row[9:13].max() <= 1e-12 * row[8]
 
 
 def _flag_cases(argv, flag, values, codes):
@@ -309,9 +317,10 @@ def _key_cases(text, key, values, codes, command="spectrum"):
 # (argv, config-file text or None, exit code) for every flag and config key
 # at 0, negative, huge, nan, inf and a wrong type, then cases of their own.
 # 2 is an unusable argument: "error:" and nothing written.  1 is a runtime
-# failure of a usable one (aliasing dt, too few peaks in 16 samples), 0 a
-# finished run.  A case that runs for real uses 16 samples; no huge sample,
-# shot or grid count gets past the checks.
+# failure of a usable one (a dt that aliases), 0 a finished run (16 exact
+# samples recover the levels at q = 1 with no coupling).  A case that runs
+# for real uses 16 samples; no huge sample, shot or grid count gets past
+# the checks.
 SPECTRUM, HO, AO = ["spectrum"], ["spectrum", "--model=ho"], ["spectrum", "--model=ao"]
 SIX = ("0", "-1", "1e300", "nan", "inf", "x")
 EDGE_CASES = [
@@ -321,9 +330,9 @@ EDGE_CASES = [
                                         "nan:1:0.1", "1:inf:0.1", "a:b:c"),
                  (2, 2, 2, 2, 2, 2)),
     *_flag_cases(HO, "--gamma", ("0", "-5", "1e308", "nan", "inf", "x"),
-                 (1, 2, 2, 2, 2, 2)),
+                 (0, 2, 2, 2, 2, 2)),
     *_flag_cases(AO, "--delta", ("0", "-1", "5e306", "nan", "inf", "x"),
-                 (1, 2, 2, 2, 2, 2)),
+                 (0, 2, 2, 2, 2, 2)),
     *_flag_cases(SPECTRUM, "--dt", SIX, (2, 2, 1, 2, 2, 2)),
     *_flag_cases(SPECTRUM, "--samples", ("0", "-16", str(2**40), "nan", "inf", "1.5"),
                  (2, 2, 2, 2, 2, 2)),
@@ -338,9 +347,9 @@ EDGE_CASES = [
     *_key_cases("", "q_grid", ("0", "-1", "1e300", "nan", "inf", "x", "1,,2", ""),
                 (2, 2, 2, 2, 2, 2, 2, 2)),
     *_key_cases("model = ho\n", "gamma", ("0", "-5", "1e308", "nan", "inf", "x"),
-                (1, 2, 2, 2, 2, 2)),
+                (0, 2, 2, 2, 2, 2)),
     *_key_cases("model = ao\n", "delta", ("0", "-1", "5e306", "nan", "inf", "x"),
-                (1, 2, 2, 2, 2, 2)),
+                (0, 2, 2, 2, 2, 2)),
     *_key_cases("", "dt", SIX, (2, 2, 1, 2, 2, 2)),
     *_key_cases("", "samples", ("0", "-16", str(2**40), "nan", "inf", "1.5", "100"),
                 (2, 2, 2, 2, 2, 2, 2)),

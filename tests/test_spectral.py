@@ -481,8 +481,42 @@ class TestPencilLevels:
         ts, _ = bin_lines([20.3], [1.0], m=spectral.PENCIL_MAX_SAMPLES)
         spectral.pencil_levels(ts, 1)
         ts, _ = bin_lines([20.3], [1.0], m=spectral.PENCIL_MAX_SAMPLES + 1)
-        with pytest.raises(ValueError, match="reads at most 1024 samples, got 1025"):
+        with pytest.raises(InsufficientPeaks, match="reads at most 1024 samples, got 1025"):
             spectral.pencil_levels(ts, 1)
+
+
+class TestReadLevels:
+    def test_takes_the_fft_seed_where_it_resolves_every_line(self, monkeypatch):
+        ts, _ = bin_lines([20.3, 23.6, 41.15, 70.5], [0.4, 0.3, 0.2, 0.1])
+        want = spectral.fit_levels(ts, detect_levels(dft_real(ts), 4))
+
+        def refuse(*args):
+            raise AssertionError("pencil_levels called")
+        monkeypatch.setattr(spectral, "pencil_levels", refuse)
+        lv = spectral.read_levels(ts, 4)
+        np.testing.assert_array_equal(lv.levels, want.levels)
+        np.testing.assert_array_equal(lv.heights, want.heights)
+        assert lv.bin_width == want.bin_width
+
+    def test_seeds_from_the_pencil_where_two_lines_share_a_peak(self):
+        bins = [20.3, 20.9, 41.15, 70.5]
+        ts, width = bin_lines(bins, [0.4, 0.3, 0.2, 0.1])
+        lv = spectral.read_levels(ts, 4)
+        np.testing.assert_array_equal(
+            lv.levels, spectral.fit_levels(ts, spectral.pencil_levels(ts, 4)).levels)
+        np.testing.assert_allclose(lv.levels, 0.5 * width * np.array(bins),
+                                   rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("m,weights,cause", [
+        (256, [0.4, 0.3, 0.0, 0.1], r"found 2 .*; matrix pencil: singular value 8 is"),
+        (2048, [0.4, 0.3, 0.2, 0.1], r"found 3 .*; matrix pencil reads at most 1024 "
+                                     r"samples, got 2048"),
+    ])
+    def test_names_both_causes_when_both_seeds_fail(self, m, weights, cause):
+        # two lines 0.6 bins apart share one FFT peak
+        ts, _ = bin_lines([20.3, 20.9, 41.15, 70.5], weights, m=m)
+        with pytest.raises(InsufficientPeaks, match="^" + cause):
+            spectral.read_levels(ts, 4)
 
 
 class TestMatchLevels:
